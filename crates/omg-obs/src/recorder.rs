@@ -4,23 +4,30 @@
 //! [`TraceEvent`]s. By convention each serving worker owns one ring
 //! (single writer → snapshots are gap-free modulo overwrite) and the
 //! last ring collects submitter-side events (submit / reject / discard)
-//! from arbitrary threads. Writers never allocate and never lock:
-//! claiming a slot is one relaxed `fetch_add`, publishing is a handful
-//! of relaxed stores sealed by one release compare-exchange.
+//! from arbitrary threads. Writers never allocate, never lock and never
+//! wait: taking an index is one relaxed `fetch_add`, claiming its slot
+//! one compare-exchange, and publishing a handful of relaxed stores
+//! sealed by one release store.
 //!
 //! # Coherent snapshots
 //!
 //! Each slot is an inline seqlock. The stamp word encodes the slot's
 //! global write index plus the stage (valid), or a *writer-unique*
-//! in-progress sentinel (top bit + index). A writer stores its sentinel,
-//! issues a release fence, fills the payload words, then publishes with
-//! `compare_exchange(sentinel → valid)` — so a writer that was lapped
-//! mid-write can never seal the slot over a competitor's bytes. A reader
-//! loads the stamp (acquire), reads the payload words, issues an acquire
-//! fence, and re-reads the stamp: the event is kept only if both reads
-//! agree on the exact expected index. Any interleaved writer flips the
-//! stamp through its own sentinel first, so a torn read can never
-//! validate — even on the shared multi-producer ring.
+//! in-progress sentinel (top bit + index). A writer claims its slot
+//! exclusively: it compare-exchanges the stamp to its sentinel, and only
+//! from empty or from a sealed *older* index. A writer that finds the
+//! slot still held by a lapped writer, or already sealed by a newer
+//! index, drops its event. The claimant issues a release fence, fills the
+//! payload words, and seals with a release store; no other writer can
+//! touch a held slot, so the words under a stamp are always the
+//! claimant's own. A reader loads the stamp (acquire), reads the payload
+//! words, issues an acquire fence, and re-reads the stamp: the event is
+//! kept only if both reads agree on the exact expected index. Every
+//! writer flips the stamp to its own sentinel before it touches the
+//! payload, so a torn read can never validate — even on the shared
+//! multi-producer ring. A dropped event still advanced the ring's head:
+//! while its index is inside the snapshot window its slot counts as torn,
+//! and once lapped it counts as dropped.
 
 use std::fmt;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -144,7 +151,7 @@ impl fmt::Display for TraceEvent {
 
 /// Stamp-word layout: `valid = idx << 4 | stage`, `writing = TOP | idx << 4`.
 /// `EMPTY` (all ones) matches neither form, so unwritten slots never
-/// validate and never satisfy a writer's publish compare-exchange.
+/// validate.
 const WRITING_BIT: u64 = 1 << 63;
 const EMPTY: u64 = u64::MAX;
 
@@ -173,6 +180,16 @@ impl Slot {
             payload: AtomicU64::new(0),
         }
     }
+
+    /// Fill a slot this writer holds for `idx` (see [`Ring::claim`]) and
+    /// seal it. The seal cannot fail: no other writer touches a held slot.
+    fn publish(&self, idx: u64, stage: Stage, seq: u64, payload: u64, ts_ns: u64) {
+        fence(Ordering::Release);
+        self.ts.store(ts_ns, Ordering::Relaxed);
+        self.seq.store(seq, Ordering::Relaxed);
+        self.payload.store(payload, Ordering::Relaxed);
+        self.stamp.store(valid_stamp(idx, stage), Ordering::Release);
+    }
 }
 
 /// One fixed-capacity event ring (power-of-two slots).
@@ -199,21 +216,35 @@ impl Ring {
     /// Hot path: no allocation, no locks, no waiting.
     fn record(&self, stage: Stage, seq: u64, payload: u64, ts_ns: u64) {
         let idx = self.head.fetch_add(1, Ordering::Relaxed);
+        // A refused claim loses the event: the slot counts as torn while
+        // `idx` is in the snapshot window, and as dropped once lapped.
+        if let Some(slot) = self.claim(idx) {
+            slot.publish(idx, stage, seq, payload, ts_ns);
+        }
+    }
+
+    /// Take exclusive hold of `idx`'s slot by swapping in its writing
+    /// sentinel, only from empty or from a sealed older index. `None` when
+    /// a lapped writer still holds the slot or a newer index sealed it.
+    fn claim(&self, idx: u64) -> Option<&Slot> {
         let slot = &self.slots[(idx & self.mask) as usize];
-        slot.stamp.store(writing_stamp(idx), Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.ts.store(ts_ns, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Relaxed);
-        slot.payload.store(payload, Ordering::Relaxed);
-        // Seal only if no other writer lapped us onto this slot while we
-        // were filling it; on failure the event is simply lost (and the
-        // advanced head already accounts for it as overwritten).
-        let _ = slot.stamp.compare_exchange(
-            writing_stamp(idx),
-            valid_stamp(idx, stage),
-            Ordering::Release,
-            Ordering::Relaxed,
-        );
+        let current = slot.stamp.load(Ordering::Relaxed);
+        let claimable = current == EMPTY || (current & WRITING_BIT == 0 && current >> 4 < idx);
+        if !claimable {
+            return None;
+        }
+        // Acquire on success orders our payload stores after the previous
+        // occupant's, whose seal we read. Stamps only move to newer
+        // indices, so a stale `current` can never match again (no ABA).
+        slot.stamp
+            .compare_exchange(
+                current,
+                writing_stamp(idx),
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            )
+            .ok()?;
+        Some(slot)
     }
 
     /// Push every readable event from the retained window onto `out`,
@@ -239,8 +270,9 @@ impl Ring {
                     payload,
                 });
             } else {
-                // Mid-write (ours or a lapping writer's) or already
-                // overwritten by a newer index: skip, count as torn.
+                // Mid-write, overwritten by a newer index, or still
+                // holding a lapped writer's older event because this
+                // index's event was dropped: skip, count as torn.
                 torn += 1;
             }
         }
@@ -256,7 +288,8 @@ pub struct TraceSnapshot {
     pub events: Vec<TraceEvent>,
     /// Events evicted by ring wraparound before this snapshot.
     pub dropped: u64,
-    /// In-window slots skipped because a write raced the snapshot.
+    /// In-window slots skipped because a write raced the snapshot, or
+    /// because their event was dropped (see the module docs).
     pub torn: u64,
 }
 
@@ -351,8 +384,9 @@ impl FlightRecorder {
     }
 
     /// Events evicted by ring wraparound so far (the `dropped_events`
-    /// metric: every recorded event is either still snapshot-visible or
-    /// counted here, modulo in-flight writes).
+    /// metric: every recorded event is either counted here, or inside the
+    /// snapshot window — visible, or a torn slot while mid-write or after
+    /// being dropped at a slot a lapped writer still held).
     pub fn dropped_events(&self) -> u64 {
         self.rings
             .iter()
@@ -468,13 +502,17 @@ mod tests {
         // snapshots continuously; every surfaced event must be
         // internally consistent (payload derived from seq + ts).
         use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
         let rec = Arc::new(FlightRecorder::new(1, 32));
+        // Three writers plus the reader start together.
+        let start = Arc::new(Barrier::new(4));
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..3u64)
             .map(|w| {
                 let rec = Arc::clone(&rec);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     for i in 0..20_000u64 {
                         let seq = w * 1_000_000 + i;
                         rec.record_at(0, Stage::Submit, seq, seq.wrapping_mul(31), seq);
@@ -484,25 +522,85 @@ mod tests {
             .collect();
         let reader = {
             let rec = Arc::clone(&rec);
+            let start = Arc::clone(&start);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                start.wait();
                 let mut checked = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
+                    // `stop` is read before the snapshot, so the last
+                    // snapshot is taken after every writer has joined.
+                    let done = stop.load(Ordering::Acquire);
                     for ev in rec.snapshot().events {
                         assert_eq!(ev.payload, ev.seq.wrapping_mul(31), "torn event surfaced");
                         assert_eq!(ev.ts_ns, ev.seq, "torn event surfaced");
                         checked += 1;
                     }
+                    if done {
+                        return checked;
+                    }
                 }
-                checked
             })
         };
         for w in writers {
             w.join().unwrap();
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
         assert!(reader.join().unwrap() > 0, "reader never saw events");
         assert_eq!(rec.total_recorded(), 60_000);
         assert!(rec.dropped_events() >= 60_000 - 32);
+    }
+
+    #[test]
+    fn lapped_writer_cannot_tear_a_newer_sealed_event() {
+        // Replays, without threads, a writer stalled between claiming its
+        // slot and filling it while the ring laps it once: its late stores
+        // must not land under the lapping write's stamp.
+        let rec = FlightRecorder::new(1, 8);
+        for seq in 0..8u64 {
+            rec.record_at(0, Stage::Submit, seq, seq * 31, seq);
+        }
+        let ring = &rec.rings[0];
+        let a_idx = ring.head.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(a_idx, 8);
+        let a_slot = ring.claim(a_idx);
+        // Indices 9..=16; idx 16 lands on A's slot 0.
+        for seq in 9..17u64 {
+            rec.record_at(0, Stage::Submit, seq, seq * 31, seq);
+        }
+        let stalled = rec.snapshot();
+        // A's payload breaks the `seq * 31` rule, so any of its words
+        // surfacing under another write's stamp is caught below.
+        if let Some(slot) = a_slot {
+            slot.publish(a_idx, Stage::Reject, 8, 253, 8);
+        }
+        let finished = rec.snapshot();
+        for ev in stalled.events.iter().chain(&finished.events) {
+            assert_eq!(ev.payload, ev.seq * 31, "torn event surfaced: {ev:?}");
+        }
+        // Idx 16's event was dropped at the slot A still held, before and
+        // after A seals it.
+        assert_eq!((stalled.torn, finished.torn), (1, 1));
+        for snap in [&stalled, &finished] {
+            let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, (9..16).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn writer_lapped_before_its_claim_drops_its_event() {
+        // A writer stalled between taking its index and claiming the slot
+        // finds it sealed by a newer index and must leave it alone.
+        let rec = FlightRecorder::new(1, 8);
+        let ring = &rec.rings[0];
+        let a_idx = ring.head.fetch_add(1, Ordering::Relaxed);
+        for seq in 1..9u64 {
+            rec.record_at(0, Stage::Submit, seq, seq * 31, seq);
+        }
+        assert!(ring.claim(a_idx).is_none(), "claimed a newer sealed slot");
+        let snap = rec.snapshot();
+        assert_eq!(snap.torn, 0);
+        let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (1..9).collect::<Vec<_>>());
     }
 }

@@ -60,7 +60,8 @@ proptest::proptest! {
     ) {
         let rec = Arc::new(FlightRecorder::new(workers, capacity));
         let cap = rec.capacity() as u64;
-        let start = Arc::new(Barrier::new(workers + 1));
+        // Writers, the reader and this thread start together.
+        let start = Arc::new(Barrier::new(workers + 2));
         let stop = Arc::new(AtomicBool::new(false));
 
         let writer_handles: Vec<_> = (0..workers)
@@ -79,14 +80,21 @@ proptest::proptest! {
 
         let reader = {
             let rec = Arc::clone(&rec);
+            let start = Arc::clone(&start);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                start.wait();
                 let mut snaps = 0u32;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
+                    // `stop` is read before the snapshot, so the last
+                    // snapshot is taken after every writer has joined.
+                    let done = stop.load(Ordering::Acquire);
                     snaps += 1;
                     check_consistency(&rec.snapshot(), workers, events, cap);
+                    if done {
+                        return snaps;
+                    }
                 }
-                snaps
             })
         };
 
@@ -94,7 +102,7 @@ proptest::proptest! {
         for h in writer_handles {
             h.join().unwrap();
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
         proptest::prop_assert!(reader.join().unwrap() > 0);
 
         // Quiescent: the window is exactly the newest `min(events, cap)`
