@@ -71,7 +71,7 @@ fn bench_restart_policy() -> RestartPolicy {
 /// The asserted ceiling on caller-observed detection latency: the lease
 /// must expire (`ttl + grace`), the watchdog must notice (a few scans),
 /// and the host may be noisy (flat slack). Generous against CI jitter,
-/// tiny against an unsupervised hang (which would wait forever).
+/// tiny against an unwatched hang (which would wait forever).
 fn detect_bound(policy: &HangPolicy) -> Duration {
     policy.lease_ttl + policy.grace + policy.scan_interval * 20 + Duration::from_millis(500)
 }

@@ -14,8 +14,9 @@
 //! from the SANCTUARY paper \[11\].
 //!
 //! Measured compute uses **per-thread CPU time** where the OS exposes it
-//! (`/proc/thread-self/schedstat` on Linux), falling back to wall-clock
-//! time elsewhere. Each simulated device models independent hardware, so
+//! (`clock_gettime(CLOCK_THREAD_CPUTIME_ID)` on 64-bit Linux), falling
+//! back to wall-clock time elsewhere. Each simulated device models
+//! independent hardware, so
 //! when many devices execute on fewer host cores (the `omg-serve` worker
 //! fleet), a device must be charged only the cycles its own computation
 //! consumed — wall time would overcharge it with time spent preempted by
@@ -276,38 +277,43 @@ impl Default for SimClock {
 }
 
 /// Cumulative CPU nanoseconds consumed by the calling thread, where the OS
-/// exposes them. On Linux this is `sum_exec_runtime` — the first field of
-/// `/proc/thread-self/schedstat` — which excludes time the thread spent
-/// preempted or blocked.
-///
-/// The schedstat file is opened once per thread and re-read into a stack
-/// buffer, so the per-[`SimClock::measure`] cost is a single `pread`
-/// syscall with no allocation.
+/// exposes them. On 64-bit Linux this is
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` — one system call, no
+/// allocation — which excludes time the thread spent preempted or
+/// blocked. The kernel brings a running thread's runtime up to date on
+/// this call (a `/proc/thread-self/schedstat` read does not), so
+/// back-to-back sections are each charged their own time and never the
+/// time of the ones before.
 fn thread_cpu_ns() -> Option<u64> {
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     {
-        use std::cell::RefCell;
-        use std::fs::File;
-        use std::os::unix::fs::FileExt;
-
-        thread_local! {
-            // `/proc/thread-self` resolves per opening thread, so the fd
-            // must be thread-local, not process-global.
-            static SCHEDSTAT: RefCell<Option<File>> = const { RefCell::new(None) };
+        /// `struct timespec` on 64-bit Linux: `time_t` and `long` are both
+        /// 64 bits wide.
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: i64,
+            tv_nsec: i64,
         }
-        SCHEDSTAT.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if slot.is_none() {
-                *slot = File::open("/proc/thread-self/schedstat").ok();
-            }
-            let file = slot.as_ref()?;
-            let mut buf = [0u8; 64];
-            let n = file.read_at(&mut buf, 0).ok()?;
-            let text = std::str::from_utf8(&buf[..n]).ok()?;
-            text.split_whitespace().next()?.parse().ok()
-        })
+        extern "C" {
+            // std links the C library on Linux, which provides this.
+            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a live, writable value with the C layout of
+        // `struct timespec` on this target, and `clock_gettime` writes
+        // only that struct; the clock id is a constant the kernel knows.
+        if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
+            return None;
+        }
+        let secs = u64::try_from(ts.tv_sec).ok()?;
+        let nanos = u64::try_from(ts.tv_nsec).ok()?;
+        Some(secs * 1_000_000_000 + nanos)
     }
-    #[cfg(not(target_os = "linux"))]
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
     {
         None
     }
@@ -406,6 +412,33 @@ mod tests {
         assert!(
             charged < Duration::from_millis(25),
             "sleep was billed as compute: {charged:?}"
+        );
+    }
+
+    #[test]
+    fn back_to_back_sections_are_charged_at_most_their_wall_time() {
+        // One thread's CPU time cannot exceed its wall time, so however
+        // loaded the host, 200 back-to-back measured sections of ~500 µs
+        // busy work may be charged no more than the loop's wall time (5 %
+        // slack for rounding). A CPU clock that lags the running thread
+        // charges a section that sees no update its wall time and the
+        // next one again for the same CPU time: ~1.7-2x here.
+        let clock = SimClock::default();
+        let busy = || {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_micros(500) {
+                std::hint::spin_loop();
+            }
+        };
+        let wall = Instant::now();
+        for _ in 0..200 {
+            clock.measure(busy);
+        }
+        let wall = wall.elapsed();
+        let charged = clock.measured();
+        assert!(
+            charged.as_secs_f64() <= wall.as_secs_f64() * 1.05,
+            "charged {charged:?} for {wall:?} of wall time"
         );
     }
 

@@ -39,8 +39,7 @@
 //!   dangling borrow of the arena. The budget defaults to **1** (no
 //!   threads spawned, preserving the interpreter's zero-allocation
 //!   invoke) and composes with `omg-serve`'s thread-per-device workers:
-//!   raise it only when devices are scarcer than cores (see
-//!   `ServeConfig::kernel_threads`).
+//!   raise it only when devices are scarcer than cores.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -98,9 +97,7 @@ pub fn thread_budget() -> usize {
 
 /// Sets the process-wide GEMM thread budget (clamped to
 /// `1..=`[`MAX_GEMM_THREADS`]), returning the previous value. An explicit
-/// call overrides `OMG_GEMM_THREADS`; serving runtimes set this from
-/// `ServeConfig::kernel_threads` so kernel threads and device workers
-/// share one knob instead of oversubscribing each other.
+/// call overrides `OMG_GEMM_THREADS`.
 pub fn set_thread_budget(threads: usize) -> usize {
     let clamped = threads.clamp(1, MAX_GEMM_THREADS);
     budget_gauge().set(clamped as i64);

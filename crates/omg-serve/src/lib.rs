@@ -18,26 +18,29 @@
 //!   whose budget expires while queued are shed at dequeue with
 //!   [`ServeError::Expired`] instead of serving doomed work;
 //! * **Latency SLOs** — every query's submit-to-completion latency lands in
-//!   a fixed-bucket log-scale [`histogram::LatencyHistogram`];
+//!   a fixed-bucket log-scale [`omg_obs::Histogram`];
 //!   [`ServeStats`] reports throughput, p50/p95/p99, and violations of the
 //!   configured SLO target;
 //! * **Graceful drain** — [`ServeHandle::drain`] stops admission, finishes
 //!   every in-flight query, scrubs each worker's enclave arena (no user's
 //!   activations survive the runtime), parks the enclaves, and returns the
 //!   devices for inspection;
-//! * **Self-healing** — with [`ServeConfig::restart`] set, a supervisor
-//!   thread re-provisions a replacement device for every dead worker
+//! * **Supervision** — every fleet runs under a supervisor thread, the one
+//!   place that decides what happens to a lost worker slot. With
+//!   [`ServeConfig::restart`] set it re-provisions a replacement device
 //!   through the fleet's warm model cache, governed by a
 //!   [`RestartPolicy`] (exponential backoff, restart budget, crash-loop
-//!   quarantine); [`ServeHandle::health`] exposes the fleet state machine
-//!   and [`ServeHandle::submit_with_retry`] lets callers ride restarts
-//!   out (see [`supervisor`]);
+//!   quarantine); without one the slot is retired
+//!   [`WorkerHealth::Dead`]. [`ServeHandle::health`] exposes the fleet
+//!   state machine and [`ServeHandle::submit_with_retry`] lets callers
+//!   ride restarts out (see [`supervisor`]);
 //! * **Hang detection** — with [`ServeConfig::hang`] set, the supervisor
 //!   doubles as a liveness watchdog: workers renew per-slot heartbeat
 //!   leases, a wedged worker is *preempted* behind a per-slot generation
 //!   fence (its ticket resolves with the retryable [`ServeError::Hung`],
-//!   its late publishes are discarded), and the slot is re-provisioned —
-//!   a silent stall recovers exactly like a crash.
+//!   its late publishes are discarded), and the slot is lost exactly like
+//!   a crashed one — re-provisioned under a restart policy, retired
+//!   `Dead` without one.
 //!
 //! # Quickstart
 //!
@@ -87,7 +90,6 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod histogram;
 pub mod queue;
 pub mod supervisor;
 
@@ -102,13 +104,14 @@ use parking_lot::{Condvar, Mutex};
 use omg_core::session::{provision_devices, provision_devices_with_cache, ModelCache};
 use omg_core::{OmgDevice, OmgError, Transcription};
 use omg_nn::Model;
-use omg_obs::{Counter, FlightRecorder, Gauge, ObsConfig, Registry, Stage, TraceSnapshot};
+use omg_obs::{
+    Counter, FlightRecorder, Gauge, Histogram, ObsConfig, Registry, Stage, TraceSnapshot,
+};
 
 use fault::{FaultPlan, QueryFault};
-use histogram::LatencyHistogram;
 use queue::{PushError, ShardedQueue};
 pub use supervisor::{FleetHealth, HangPolicy, RestartPolicy, RetryPolicy, WorkerHealth};
-use supervisor::{ReprovisionContext, SlotReport, SlotState, Supervisor, SUPERVISOR_WAKE};
+use supervisor::{ReprovisionContext, SlotState, Supervisor};
 
 /// Longest *real* sleep a scripted [`QueryFault::Delay`] performs; the full
 /// delay is charged to virtual time (`SimClock::stall`), so scenarios can
@@ -141,7 +144,7 @@ pub enum ServeError {
     WorkerPanicked,
     /// The liveness watchdog declared the serving worker hung (its
     /// heartbeat lease expired past TTL + grace) and preempted it: the
-    /// wedged thread is detached and the slot is being re-provisioned.
+    /// wedged thread is detached and the slot is lost like a crashed one.
     /// Retryable — a sibling or the replacement can serve a fresh
     /// submission.
     Hung,
@@ -158,10 +161,7 @@ impl fmt::Display for ServeError {
             ServeError::Config(reason) => write!(f, "invalid serve config: {reason}"),
             ServeError::Query(e) => write!(f, "query failed: {e}"),
             ServeError::WorkerPanicked => write!(f, "a serving worker panicked"),
-            ServeError::Hung => write!(
-                f,
-                "a serving worker hung mid-query and was preempted; its slot is being re-provisioned"
-            ),
+            ServeError::Hung => write!(f, "a serving worker hung mid-query and was preempted"),
         }
     }
 }
@@ -181,7 +181,7 @@ impl ServeError {
     /// Retryable: [`ServeError::Overloaded`] (backpressure is transient),
     /// [`ServeError::WorkerPanicked`], [`ServeError::Hung`] (the watchdog
     /// preempted the worker; the fleet is recovering) and device-crash
-    /// query failures (under supervision the fleet recovers, and a
+    /// query failures (under a restart policy the fleet recovers, and a
     /// sibling worker may serve the retry even without it). Everything
     /// else is terminal for this caller: [`ServeError::Expired`] means
     /// the deadline budget is already gone, [`ServeError::ShuttingDown`]
@@ -212,15 +212,6 @@ pub struct ServeConfig {
     /// [`fault::FaultPlan`]). `None` in production: workers then pay a
     /// single branch per query for the hook.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Optional per-GEMM kernel thread budget, applied process-wide via
-    /// [`omg_nn::gemm::set_thread_budget`] when the runtime starts.
-    ///
-    /// `None` (the default) leaves the current budget alone — which, unset,
-    /// is 1: inference inside each worker stays single-threaded, so the
-    /// thread-per-device workers never oversubscribe the machine. Set
-    /// `Some(n)` only when the fleet is small relative to the core count
-    /// and per-query latency matters more than aggregate throughput.
-    pub kernel_threads: Option<usize>,
     /// Flight-recorder ring capacity, in events per ring (one ring per
     /// worker plus one shared ring for submitter-side events).
     ///
@@ -230,18 +221,19 @@ pub struct ServeConfig {
     /// `Some(0)` disables the recorder outright; `Some(n)` forces
     /// capacity `n` regardless of the environment.
     pub recorder_capacity: Option<usize>,
-    /// Optional self-healing supervision (see [`supervisor`]): when set,
-    /// a supervisor thread restarts dead workers on re-provisioned
-    /// devices under this policy. Only honored through
+    /// Optional restart policy (see [`supervisor`]): when set, the
+    /// supervisor restarts lost workers on re-provisioned devices under
+    /// this policy; without one it retires a lost slot
+    /// [`WorkerHealth::Dead`]. Only honored through
     /// [`ServeHandle::provision`] — re-provisioning needs the model and
     /// seed, so [`ServeHandle::start`] rejects the knob.
     pub restart: Option<RestartPolicy>,
     /// Optional liveness watchdog (see [`HangPolicy`]): when set, the
     /// supervisor thread scans every slot's heartbeat lease and preempts
     /// workers that stop renewing — resolving their in-flight ticket with
-    /// the retryable [`ServeError::Hung`] and re-provisioning the slot.
-    /// Requires [`ServeConfig::restart`] (preemption re-provisions
-    /// through the supervisor), so [`ServeHandle::start`] rejects it too.
+    /// the retryable [`ServeError::Hung`] and losing the slot like a
+    /// crashed one (restarted under [`ServeConfig::restart`], retired
+    /// `Dead` without it).
     pub hang: Option<HangPolicy>,
 }
 
@@ -251,7 +243,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             slo: None,
             faults: None,
-            kernel_threads: None,
             recorder_capacity: None,
             restart: None,
             hang: None,
@@ -322,8 +313,10 @@ impl ResponseSlot {
 /// on it can never hang, no matter what happens to the fleet. If the query
 /// is served, the ticket yields the transcription (or the device error).
 /// If the serving worker panics mid-query, the unwinding worker delivers
-/// [`ServeError::WorkerPanicked`]. If the fleet drains (or dies) with the
-/// job still queued, the job's teardown delivers
+/// [`ServeError::WorkerPanicked`]. If the fleet loses its last worker with
+/// the job still queued, the supervisor's terminal sweep delivers
+/// [`ServeError::WorkerPanicked`] when that worker panicked and
+/// [`ServeError::ShuttingDown`] otherwise; a job left queued at drain gets
 /// [`ServeError::ShuttingDown`]. Every such abandoned job is counted in
 /// [`ServeStats::discarded`].
 #[derive(Debug)]
@@ -448,23 +441,12 @@ impl Job {
     fn into_rejected(mut self) {
         self.resolved = true;
     }
-}
 
-impl Drop for Job {
-    fn drop(&mut self) {
-        // A job dropped without completion (queue torn down, worker
-        // unwinding) must not strand its waiter: deliver the reason the
-        // job died. `std::thread::panicking()` distinguishes a worker
-        // unwinding with the job in hand from orderly teardown.
-        if self.resolved {
-            return;
-        }
-        let panicking = std::thread::panicking();
-        let verdict = if panicking {
-            ServeError::WorkerPanicked
-        } else {
-            ServeError::ShuttingDown
-        };
+    /// Resolves a job no worker will serve with `verdict`, counted as
+    /// discarded. `in_hand` is the recorded stage of death: payload 1 =
+    /// died in a panicking worker's hands, 0 = still queued.
+    fn discard(&mut self, verdict: ServeError, in_hand: bool) {
+        self.resolved = true;
         let seq = self.seq;
         let discarded = &self.discarded;
         let recorder = &self.recorder;
@@ -473,18 +455,34 @@ impl Drop for Job {
         // the accounting identity.
         self.slot.fill_with(Err(verdict), || {
             discarded.inc();
-            // Stage of death: payload 1 = died in a panicking worker's
-            // hands, 0 = still queued at teardown.
             if let Some(rec) = recorder {
-                rec.record(rec.rings() - 1, Stage::Discard, seq, u64::from(panicking));
+                rec.record(rec.rings() - 1, Stage::Discard, seq, u64::from(in_hand));
             }
         });
     }
 }
 
+impl Drop for Job {
+    fn drop(&mut self) {
+        // A job dropped without completion (queue torn down, worker
+        // unwinding) must not strand its waiter: deliver the reason the
+        // job died. `std::thread::panicking()` distinguishes a worker
+        // unwinding with the job in hand from orderly teardown.
+        if !self.resolved {
+            let panicking = std::thread::panicking();
+            let verdict = if panicking {
+                ServeError::WorkerPanicked
+            } else {
+                ServeError::ShuttingDown
+            };
+            self.discard(verdict, panicking);
+        }
+    }
+}
+
 /// What a worker thread hands back when it exits cleanly. (Served-query
-/// counts live in [`Shared::served`], per slot, so they survive worker
-/// deaths and restarts.)
+/// counts live in [`Slot::served`], so they survive worker deaths and
+/// restarts.)
 pub(crate) struct WorkerExit {
     pub(crate) device: OmgDevice,
 }
@@ -558,20 +556,39 @@ impl HeartbeatLease {
     }
 }
 
+/// One worker slot's record: everything the runtime tracks per slot,
+/// across every worker incarnation that serves on it.
+///
+/// Aligned so that no two slots share a cache line (or an adjacent-line
+/// prefetch pair): each worker stores into its own slot's lease and
+/// served count on every query.
+#[repr(align(128))]
+pub(crate) struct Slot {
+    /// Written `Down` by a dying worker's presence guard and otherwise
+    /// only by the supervisor; [`ServeHandle::health`] derives
+    /// [`FleetHealth`] from it.
+    pub(crate) health: Mutex<WorkerHealth>,
+    pub(crate) lease: HeartbeatLease,
+    /// Queries served on this slot, by every incarnation: the slots' sum
+    /// always equals `completed`.
+    pub(crate) served: AtomicU64,
+}
+
 /// Shared runtime state visible to workers and submitters.
 ///
 /// The counters and histograms are registry-backed ([`omg_obs`] handles):
 /// every recording lands simultaneously in [`ServeStats`] and in the
 /// rendered [`ServeHandle::metrics_text`] / [`ServeHandle::metrics_json`]
-/// exports, without a second bookkeeping path.
+/// exports, without a second bookkeeping path. Histograms hold
+/// nanoseconds.
 pub(crate) struct Shared {
     queue: ShardedQueue<Job>,
     /// End-to-end submit-to-completion latency of *successful* queries.
-    latency: LatencyHistogram,
+    latency: Arc<Histogram>,
     /// Admission-to-dequeue wait of every job a worker picked up.
-    queue_wait: LatencyHistogram,
+    queue_wait: Arc<Histogram>,
     /// Enclave compute time (classify + scrub) of every served query.
-    compute: LatencyHistogram,
+    compute: Arc<Histogram>,
     /// Every submission attempt, accepted or not; doubles as the sequence
     /// allocator, so seq numbers reflect admission order deterministically.
     submitted: Counter,
@@ -583,24 +600,11 @@ pub(crate) struct Shared {
     slo_violations: Counter,
     slo: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
-    /// Workers still running their serve loop. The last worker to exit —
-    /// cleanly or by panic — fails over any jobs still queued, so a waiter
-    /// can never deadlock on a fleet with no one left to serve it (on a
-    /// supervised fleet that terminal sweep belongs to the supervisor,
-    /// which may still be bringing workers back).
-    live_workers: AtomicU64,
-    /// Whether a supervisor owns this fleet's worker lifecycle.
-    supervised: bool,
-    /// Set once drain begins (or the supervisor terminally closes the
-    /// fleet): from here on worker exits are final and never restarted.
+    /// Set once drain begins: from here on a lost slot is retired, never
+    /// restarted.
     shutting_down: AtomicBool,
-    /// Per-slot health, written by worker presence guards and the
-    /// supervisor; [`ServeHandle::health`] derives [`FleetHealth`] from it.
-    slot_health: Mutex<Vec<WorkerHealth>>,
-    /// Per-slot served-query counters. Kept here (not in worker locals)
-    /// so counts survive worker deaths and span restarted incarnations:
-    /// their sum always equals `completed`.
-    served: Box<[AtomicU64]>,
+    /// One record per worker slot, in slot order.
+    slots: Box<[Slot]>,
     /// Dead workers brought back by the supervisor.
     restarts: Counter,
     /// Workers the supervisor permanently quarantined.
@@ -608,18 +612,14 @@ pub(crate) struct Shared {
     /// Caller-side re-submissions via [`ServeHandle::submit_with_retry`].
     retried: Counter,
     /// Death-to-restart recovery time per supervised restart.
-    time_to_recover: LatencyHistogram,
-    /// Per-slot heartbeat leases (always allocated; only scanned when a
-    /// [`HangPolicy`] is installed — stamping is a couple of relaxed
-    /// atomics either way).
-    leases: Box<[HeartbeatLease]>,
+    time_to_recover: Arc<Histogram>,
     /// Workers the liveness watchdog declared hung and preempted.
     hung: Counter,
     /// Publishes by preempted (zombie) worker incarnations that lost the
     /// completion race and were discarded by generation check.
     zombie_discards: Counter,
     /// Lease age at hang declaration — the watchdog's detection latency.
-    hang_detect: LatencyHistogram,
+    hang_detect: Arc<Histogram>,
     /// Flight recorder: one ring per worker (single-writer) plus a final
     /// shared ring for submitter-side events. `None` when disabled.
     recorder: Option<Arc<FlightRecorder>>,
@@ -630,6 +630,23 @@ pub(crate) struct Shared {
     recorder_dropped: Gauge,
 }
 
+/// A duration in whole nanoseconds, saturating: the unit every histogram
+/// records.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
+/// A histogram's `(p50, p95, p99)`, from one snapshot of its buckets, so
+/// the ladder stays monotone even while workers record concurrently.
+fn percentiles(h: &Histogram) -> (Duration, Duration, Duration) {
+    let q = h.quantiles_ns(&[0.50, 0.95, 0.99]);
+    (
+        Duration::from_nanos(q[0]),
+        Duration::from_nanos(q[1]),
+        Duration::from_nanos(q[2]),
+    )
+}
+
 impl Shared {
     /// Ring index for submitter-side events (submit/reject/discard): the
     /// extra multi-producer ring after the per-worker rings.
@@ -637,11 +654,20 @@ impl Shared {
         rec.rings() - 1
     }
 
+    /// Per-slot health, in slot order.
+    pub(crate) fn worker_health(&self) -> Vec<WorkerHealth> {
+        self.slots.iter().map(|slot| *slot.health.lock()).collect()
+    }
+
     /// Bring point-in-time gauges up to date before rendering metrics.
     fn refresh_gauges(&self) {
         self.queued_gauge.set(self.queue.len() as i64);
-        self.workers_gauge
-            .set(self.live_workers.load(Ordering::Relaxed) as i64);
+        let live = self
+            .slots
+            .iter()
+            .filter(|slot| *slot.health.lock() == WorkerHealth::Live)
+            .count();
+        self.workers_gauge.set(live as i64);
         if let Some(rec) = &self.recorder {
             self.recorder_dropped.set(rec.dropped_events() as i64);
         }
@@ -659,32 +685,29 @@ impl Shared {
     }
 }
 
-/// Decrements the live-worker count on scope exit (including unwinding),
-/// marks the slot's health, notifies the supervisor (if any), and — when
-/// the last worker of a fleet with no supervisor to revive it leaves —
-/// closes the queue and completes every stranded job with
-/// [`ServeError::ShuttingDown`].
+/// Marks the slot `Down` on scope exit (including unwinding) and notifies
+/// the supervisor, which decides the slot's fate.
 struct WorkerPresence<'a> {
-    shared: &'a Shared,
+    slot: &'a Slot,
     index: usize,
     /// The slot generation this incarnation was spawned under. A watchdog
-    /// preemption bumps the slot's generation (and performs this guard's
-    /// bookkeeping itself), so a stale guard — the detached zombie finally
-    /// exiting — must do *nothing*: no live-count decrement, no health
-    /// write (a replacement may be serving), no exit notification (the
-    /// supervisor would try to join the replacement's handle and wedge).
+    /// preemption bumps the slot's generation (and hands the slot to the
+    /// supervisor itself), so a stale guard — the detached zombie finally
+    /// exiting — must do *nothing*: no health write (a replacement may be
+    /// serving), no exit notification (the supervisor would try to join
+    /// the replacement's handle and wedge).
     generation: u64,
-    /// Supervised fleets only: the worker-exit notification channel. Held
-    /// by the guard so even a panic unwind reports the death.
-    exit_tx: Option<mpsc::Sender<usize>>,
+    /// The worker-exit notification channel. Held by the guard so even a
+    /// panic unwind reports the death.
+    exit_tx: mpsc::Sender<usize>,
 }
 
 impl Drop for WorkerPresence<'_> {
     fn drop(&mut self) {
-        let lease = &self.shared.leases[self.index];
+        let lease = &self.slot.lease;
         if lease.generation.load(Ordering::Acquire) != self.generation {
-            // Preempted incarnation: the watchdog already did all of this
-            // bookkeeping when it declared the hang. Vanish quietly.
+            // Preempted incarnation: the watchdog already handed the slot
+            // to the supervisor when it declared the hang. Vanish quietly.
             return;
         }
         // Clear the lease so the watchdog never reads this incarnation's
@@ -692,26 +715,8 @@ impl Drop for WorkerPresence<'_> {
         // ticket belonged to delivers its own verdict during unwind).
         lease.stamp_ns.store(0, Ordering::Release);
         *lease.current.lock() = None;
-        let last_out = self.shared.live_workers.fetch_sub(1, Ordering::AcqRel) == 1;
-        let terminal = !self.shared.supervised || self.shared.shutting_down.load(Ordering::Acquire);
-        self.shared.slot_health.lock()[self.index] = if terminal {
-            WorkerHealth::Dead
-        } else {
-            // The supervisor will restart or quarantine the slot.
-            WorkerHealth::Down
-        };
-        // The terminal fail-over sweep must not run on a supervised fleet
-        // mid-run: the queue cannot reopen, and the supervisor is about to
-        // bring a worker back to serve what is queued. If the whole fleet
-        // stays down (quarantine), the supervisor performs this sweep.
-        if last_out && terminal {
-            self.shared.queue.close();
-            // Dropping a job fills its response slot with ShuttingDown.
-            while self.shared.queue.pop(self.index).is_some() {}
-        }
-        if let Some(tx) = &self.exit_tx {
-            let _ = tx.send(self.index);
-        }
+        *self.slot.health.lock() = WorkerHealth::Down;
+        let _ = self.exit_tx.send(self.index);
     }
 }
 
@@ -848,7 +853,7 @@ pub struct ServeStats {
     /// Completed queries that exceeded the SLO target.
     pub slo_violations: u64,
     /// Dead workers the supervisor brought back on re-provisioned devices
-    /// (zero on unsupervised fleets). Not part of the accounting identity:
+    /// (zero without a restart policy). Not part of the accounting identity:
     /// restarts concern workers, not queries.
     pub restarts: u64,
     /// Workers the supervisor permanently quarantined (crash loop or
@@ -872,9 +877,6 @@ pub struct ServeStats {
     pub zombie_discards: u64,
     /// Per-slot worker health at snapshot time, in slot order.
     pub worker_health: Vec<WorkerHealth>,
-    /// Whether a supervisor owns this fleet (the Display health summary
-    /// is printed only for supervised fleets).
-    pub supervised: bool,
 }
 
 impl fmt::Display for ServeStats {
@@ -916,8 +918,7 @@ impl fmt::Display for ServeStats {
             ms(self.compute_p95),
             ms(self.compute_p99),
         )?;
-        // Recovery line only when something recovered (or failed to): the
-        // common unsupervised rendering is unchanged.
+        // Recovery line only when something recovered (or failed to).
         if self.restarts + self.quarantined + self.retried + self.hung > 0 {
             write!(
                 f,
@@ -932,20 +933,17 @@ impl fmt::Display for ServeStats {
                 )?;
             }
         }
-        // Supervised fleets: the fleet state at a glance, so bench and
-        // chaos failure dumps show who was serving when things went wrong.
-        if self.supervised {
-            let count =
-                |want: WorkerHealth| self.worker_health.iter().filter(|h| **h == want).count();
-            write!(
-                f,
-                "\n  health: {:?} ({} live, {} hung, {} quarantined)",
-                supervisor::fleet_health(&self.worker_health),
-                count(WorkerHealth::Live),
-                count(WorkerHealth::Hung),
-                count(WorkerHealth::Quarantined),
-            )?;
-        }
+        // The fleet state at a glance, so bench and chaos failure dumps
+        // show who was serving when things went wrong.
+        let count = |want: WorkerHealth| self.worker_health.iter().filter(|h| **h == want).count();
+        write!(
+            f,
+            "\n  health: {:?} ({} live, {} hung, {} quarantined)",
+            supervisor::fleet_health(&self.worker_health),
+            count(WorkerHealth::Live),
+            count(WorkerHealth::Hung),
+            count(WorkerHealth::Quarantined),
+        )?;
         // The accounting identity, with a verdict a human can grep for.
         // A live snapshot legitimately has work still in flight (sum <
         // submitted); a sum *exceeding* submitted is double-counting and
@@ -979,12 +977,12 @@ pub struct DrainedServe {
     /// Final statistics snapshot.
     pub stats: ServeStats,
     /// The devices of workers that exited cleanly, arenas scrubbed, in
-    /// worker order. On a supervised fleet a slot's device may be a
+    /// worker order. Under a restart policy a slot's device may be a
     /// re-provisioned replacement rather than the original.
     pub devices: Vec<OmgDevice>,
     /// Queries served per worker *slot*, in slot order (one entry per
-    /// slot, even for slots whose worker died). Under supervision a
-    /// slot's count spans every incarnation that served on it; the sum
+    /// slot, even for slots whose worker died). A slot's count spans
+    /// every incarnation that served on it; the sum
     /// always equals [`ServeStats::completed`].
     pub served_per_worker: Vec<u64>,
     /// Terminal errors from worker slots that did not end with a live
@@ -1018,27 +1016,16 @@ impl DrainedServe {
 /// behind an `Arc` or via scoped threads).
 pub struct ServeHandle {
     shared: Arc<Shared>,
-    runtime: Runtime,
+    /// The supervisor thread: it joins every worker incarnation and
+    /// returns one device-or-error per slot once every slot is retired.
+    supervisor: JoinHandle<Vec<Result<OmgDevice, ServeError>>>,
     started: Instant,
-}
-
-/// How the fleet's worker threads are owned: directly by the handle, or
-/// by a supervisor thread that joins, restarts, and finally reports them.
-enum Runtime {
-    Direct(Vec<JoinHandle<Result<WorkerExit, ServeError>>>),
-    Supervised {
-        thread: JoinHandle<Vec<SlotReport>>,
-        /// Drain-side sender for the [`SUPERVISOR_WAKE`] sentinel.
-        wake: mpsc::Sender<usize>,
-        worker_count: usize,
-    },
 }
 
 impl fmt::Debug for ServeHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServeHandle")
             .field("workers", &self.workers())
-            .field("supervised", &self.shared.supervised)
             .field("queued", &self.shared.queue.len())
             .finish_non_exhaustive()
     }
@@ -1049,10 +1036,10 @@ impl ServeHandle {
     /// against one vendor, like [`omg_core::session::Fleet::provision`])
     /// and starts a worker thread per device.
     ///
-    /// With [`ServeConfig::restart`] set, the fleet is **supervised**: the
-    /// provisioning arguments (and the warm model cache they built) are
-    /// retained by a supervisor thread that re-provisions replacement
-    /// devices for dead workers (see [`supervisor`]).
+    /// With [`ServeConfig::restart`] set, the provisioning arguments (and
+    /// the warm model cache they built) are retained by the supervisor,
+    /// which re-provisions replacement devices for lost workers (see
+    /// [`supervisor`]).
     ///
     /// # Errors
     ///
@@ -1068,43 +1055,36 @@ impl ServeHandle {
         if workers == 0 {
             return Err(ServeError::Config("need at least one worker"));
         }
-        match config.restart.clone() {
-            None => {
-                let devices = provision_devices(workers, model_id, model, seed)?;
-                Self::start(devices, config)
-            }
-            Some(policy) => {
-                // Keep the cache the initial provisioning warmed:
-                // replacement devices reuse the same sealed-model image,
-                // making re-provisioning nearly free.
-                let mut cache = ModelCache::new();
-                let devices = provision_devices_with_cache(
-                    workers,
-                    model_id,
-                    model.clone(),
-                    seed,
-                    &mut cache,
-                )?;
-                let ctx = ReprovisionContext {
-                    model_id: model_id.to_owned(),
-                    model,
-                    seed,
-                    cache,
-                    replacements: 0,
-                };
-                Self::start_supervised(devices, config, policy, ctx)
-            }
-        }
+        let Some(policy) = config.restart.clone() else {
+            let devices = provision_devices(workers, model_id, model, seed)?;
+            return Self::start(devices, config);
+        };
+        // Keep the cache the initial provisioning warmed: replacement
+        // devices reuse the same sealed-model image, making
+        // re-provisioning nearly free.
+        let mut cache = ModelCache::new();
+        let devices =
+            provision_devices_with_cache(workers, model_id, model.clone(), seed, &mut cache)?;
+        let ctx = ReprovisionContext {
+            policy,
+            model_id: model_id.to_owned(),
+            model,
+            seed,
+            cache,
+            replacements: 0,
+        };
+        Self::launch(devices, config, Some(ctx))
     }
 
     /// Starts the runtime over already provisioned devices (one worker
     /// thread per device). Devices must be initialized; each worker opens a
-    /// warm query session on its device and serves until drain.
+    /// warm query session on its device and serves until drain. A lost
+    /// worker's slot is retired [`WorkerHealth::Dead`].
     ///
     /// # Errors
     ///
     /// [`ServeError::Config`] if `devices` is empty, the queue capacity
-    /// is zero, or [`ServeConfig::restart`] is set (supervision needs the
+    /// is zero, or [`ServeConfig::restart`] is set (restarts need the
     /// model and seed to re-provision — use [`Self::provision`]).
     pub fn start(devices: Vec<OmgDevice>, config: ServeConfig) -> Result<ServeHandle, ServeError> {
         if config.restart.is_some() {
@@ -1112,68 +1092,47 @@ impl ServeHandle {
                 "restart supervision needs the model to re-provision; use ServeHandle::provision",
             ));
         }
-        let shared = build_shared(devices.len(), &config, false)?;
-        let workers = devices
-            .into_iter()
-            .enumerate()
-            .map(|(index, device)| spawn_worker(index, device, &shared, None))
-            .collect();
-        Ok(ServeHandle {
-            shared,
-            runtime: Runtime::Direct(workers),
-            started: Instant::now(),
-        })
+        Self::launch(devices, config, None)
     }
 
-    /// Starts a supervised fleet: workers report their deaths to a
-    /// supervisor thread, which owns their join handles and the
-    /// re-provisioning context.
-    fn start_supervised(
+    /// Spawns one worker per device and the supervisor that owns their
+    /// join handles and, given a reprovisioning context, restarts them.
+    fn launch(
         devices: Vec<OmgDevice>,
         config: ServeConfig,
-        policy: RestartPolicy,
-        ctx: ReprovisionContext,
+        restart: Option<ReprovisionContext>,
     ) -> Result<ServeHandle, ServeError> {
-        let worker_count = devices.len();
-        let shared = build_shared(worker_count, &config, true)?;
+        let shared = build_shared(devices.len(), &config)?;
         let (exit_tx, exit_rx) = mpsc::channel();
-        let slots: Vec<SlotState> = devices
+        let slots = devices
             .into_iter()
             .enumerate()
             .map(|(index, device)| {
-                SlotState::running(spawn_worker(index, device, &shared, Some(exit_tx.clone())))
+                SlotState::running(spawn_worker(index, device, &shared, exit_tx.clone()))
             })
             .collect();
         let sup = Supervisor {
             shared: Arc::clone(&shared),
-            policy,
-            hang: config.hang.clone(),
-            ctx,
+            restart,
+            hang: config.hang,
             slots,
-            exit_tx: exit_tx.clone(),
+            exit_tx,
         };
-        let thread = std::thread::Builder::new()
+        let supervisor = std::thread::Builder::new()
             .name("omg-serve-supervisor".to_owned())
             .spawn(move || sup.run(exit_rx))
             .expect("spawn supervisor thread");
         Ok(ServeHandle {
             shared,
-            runtime: Runtime::Supervised {
-                thread,
-                wake: exit_tx,
-                worker_count,
-            },
+            supervisor,
             started: Instant::now(),
         })
     }
 
-    /// Number of worker slots (the fleet's target capacity — under
-    /// supervision a slot's worker may be down or restarting right now).
+    /// Number of worker slots (the fleet's target capacity — a slot's
+    /// worker may be down or restarting right now).
     pub fn workers(&self) -> usize {
-        match &self.runtime {
-            Runtime::Direct(workers) => workers.len(),
-            Runtime::Supervised { worker_count, .. } => *worker_count,
-        }
+        self.shared.slots.len()
     }
 
     /// The fleet health state machine: `Healthy` (every slot live),
@@ -1181,15 +1140,15 @@ impl ServeHandle {
     /// slot permanently retired), `Dead` (no slot live or returning).
     /// Point-in-time and racy by nature, like [`Self::stats`].
     pub fn health(&self) -> FleetHealth {
-        supervisor::fleet_health(&self.shared.slot_health.lock())
+        supervisor::fleet_health(&self.shared.worker_health())
     }
 
     /// Per-slot worker health, in slot order — the raw states
     /// [`Self::health`] is derived from. Useful for awaiting quiescence:
-    /// a supervised fleet has settled once no slot is `Down`,
-    /// `Restarting`, or `Hung`.
+    /// a fleet has settled once no slot is `Down`, `Restarting`, or
+    /// `Hung`.
     pub fn worker_health(&self) -> Vec<WorkerHealth> {
-        self.shared.slot_health.lock().clone()
+        self.shared.worker_health()
     }
 
     /// Submits one utterance for classification. Non-blocking: the samples
@@ -1228,7 +1187,7 @@ impl ServeHandle {
     /// Submits with caller-side retries: transient failures
     /// ([`ServeError::is_retryable`]) are re-submitted with exponential
     /// backoff until [`RetryPolicy::max_attempts`] or the wall-clock
-    /// [`RetryPolicy::budget`] runs out. Pair it with a supervised fleet
+    /// [`RetryPolicy::budget`] runs out. Pair it with a restart policy
     /// ([`ServeConfig::restart`]) to ride worker deaths out invisibly.
     ///
     /// Blocking, unlike [`Self::submit`]: each attempt is waited on. Each
@@ -1403,61 +1362,37 @@ impl ServeHandle {
     /// — workers exit once the closed queue is empty, and if every worker
     /// is already dead the stranded jobs are failed over instead of waited
     /// on. No admitted ticket is left unresolved: jobs still queued when
-    /// the last worker is gone are swept and their waiters receive
-    /// [`ServeError::ShuttingDown`], counted in [`ServeStats::discarded`]
-    /// so the identity `completed + rejected + failed + shed + discarded
-    /// == submitted` holds exactly on the final snapshot.
+    /// the last worker is gone are swept by the supervisor (see
+    /// [`Pending`] for their verdicts), counted in
+    /// [`ServeStats::discarded`] so the identity `completed + rejected +
+    /// failed + shed + discarded == submitted` holds exactly on the final
+    /// snapshot.
     pub fn drain(self) -> DrainedServe {
         // Order matters: mark shutdown *before* closing the queue, so a
-        // supervised worker whose exit races the drain treats it as final
-        // and the supervisor restarts nothing from here on.
+        // worker whose exit races the drain is retired, never restarted.
         self.shared.shutting_down.store(true, Ordering::Release);
         self.shared.queue.close();
-        let (devices, worker_errors) = match self.runtime {
-            Runtime::Direct(handles) => {
-                let mut devices = Vec::with_capacity(handles.len());
-                let mut worker_errors = Vec::new();
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Ok(exit)) => devices.push(exit.device),
-                        Ok(Err(e)) => worker_errors.push(e),
-                        Err(_) => worker_errors.push(ServeError::WorkerPanicked),
-                    }
-                }
-                (devices, worker_errors)
+        // Every live worker now exits on the closed queue; the supervisor
+        // joins each one and returns once every slot is retired.
+        let mut devices = Vec::new();
+        let mut worker_errors = Vec::new();
+        for outcome in self.supervisor.join().unwrap_or_default() {
+            match outcome {
+                Ok(device) => devices.push(device),
+                Err(error) => worker_errors.push(error),
             }
-            Runtime::Supervised { thread, wake, .. } => {
-                // Wake the supervisor out of its blocking receive; it
-                // joins every worker incarnation and settles each slot
-                // into exactly one of device-or-error.
-                let _ = wake.send(SUPERVISOR_WAKE);
-                let reports = thread.join().unwrap_or_default();
-                let mut devices = Vec::new();
-                let mut worker_errors = Vec::new();
-                for report in reports {
-                    match (report.device, report.error) {
-                        (Some(device), _) => devices.push(device),
-                        (None, Some(error)) => worker_errors.push(error),
-                        // Unreachable by construction; never silently
-                        // shrink the conservation count if it regresses.
-                        (None, None) => worker_errors.push(ServeError::WorkerPanicked),
-                    }
-                }
-                (devices, worker_errors)
-            }
-        };
+        }
         // Straggler sweep: with every worker joined, anything still queued
-        // (e.g. pushes that raced the close) would otherwise be dropped
-        // silently with the queue. Popping resolves each stranded job's
-        // waiter (ShuttingDown) and counts it discarded; the loop cannot
-        // block because the queue is closed.
+        // would otherwise be dropped silently with the queue. Popping
+        // resolves each stranded job's waiter (ShuttingDown) and counts it
+        // discarded; the loop cannot block because the queue is closed.
         while self.shared.queue.pop(0).is_some() {}
         let queued = self.shared.queue.len();
         let served_per_worker: Vec<u64> = self
             .shared
-            .served
+            .slots
             .iter()
-            .map(|count| count.load(Ordering::Relaxed))
+            .map(|slot| slot.served.load(Ordering::Relaxed))
             .collect();
         let stats = snapshot_stats(&self.shared, self.started, devices.len(), queued);
         let metrics_json = self.shared.render_metrics_json();
@@ -1479,12 +1414,9 @@ impl ServeHandle {
 fn snapshot_stats(shared: &Shared, started: Instant, workers: usize, queued: usize) -> ServeStats {
     let completed = shared.latency.count();
     let elapsed = started.elapsed();
-    // Each ladder comes from one coherent `quantiles` snapshot of its
-    // histogram, so every reported (p50, p95, p99) triple is monotone
-    // even while workers record concurrently.
-    let (p50, p95, p99) = shared.latency.percentiles();
-    let (queue_p50, queue_p95, queue_p99) = shared.queue_wait.percentiles();
-    let (compute_p50, compute_p95, compute_p99) = shared.compute.percentiles();
+    let (p50, p95, p99) = percentiles(&shared.latency);
+    let (queue_p50, queue_p95, queue_p99) = percentiles(&shared.queue_wait);
+    let (compute_p50, compute_p95, compute_p99) = percentiles(&shared.compute);
     ServeStats {
         workers,
         submitted: shared.submitted.get(),
@@ -1499,8 +1431,8 @@ fn snapshot_stats(shared: &Shared, started: Instant, workers: usize, queued: usi
         p50,
         p95,
         p99,
-        mean: shared.latency.mean(),
-        max: shared.latency.max(),
+        mean: Duration::from_nanos(shared.latency.mean_ns()),
+        max: Duration::from_nanos(shared.latency.max_ns()),
         queue_p50,
         queue_p95,
         queue_p99,
@@ -1514,37 +1446,18 @@ fn snapshot_stats(shared: &Shared, started: Instant, workers: usize, queued: usi
         retried: shared.retried.get(),
         hung: shared.hung.get(),
         zombie_discards: shared.zombie_discards.get(),
-        worker_health: shared.slot_health.lock().clone(),
-        supervised: shared.supervised,
+        worker_health: shared.worker_health(),
     }
 }
 
 /// Builds the shared runtime state — queue, metrics registry, recorder,
-/// health slots — for a fleet of `worker_count` workers. The single
-/// construction path behind both [`ServeHandle::start`] and the
-/// supervised starter.
-fn build_shared(
-    worker_count: usize,
-    config: &ServeConfig,
-    supervised: bool,
-) -> Result<Arc<Shared>, ServeError> {
+/// slot records — for a fleet of `worker_count` workers.
+fn build_shared(worker_count: usize, config: &ServeConfig) -> Result<Arc<Shared>, ServeError> {
     if worker_count == 0 {
         return Err(ServeError::Config("need at least one device"));
     }
     if config.queue_capacity == 0 {
         return Err(ServeError::Config("queue capacity must be nonzero"));
-    }
-    if config.hang.is_some() && !supervised {
-        return Err(ServeError::Config(
-            "hang detection needs supervision to re-provision preempted slots; \
-             set ServeConfig::restart and use ServeHandle::provision",
-        ));
-    }
-    if let Some(threads) = config.kernel_threads {
-        if threads == 0 {
-            return Err(ServeError::Config("kernel thread budget must be nonzero"));
-        }
-        omg_nn::gemm::set_thread_budget(threads);
     }
     let recorder_capacity = config
         .recorder_capacity
@@ -1552,18 +1465,18 @@ fn build_shared(
     let recorder = (recorder_capacity > 0)
         .then(|| Arc::new(FlightRecorder::new(worker_count + 1, recorder_capacity)));
     let registry = Registry::new();
-    let latency = LatencyHistogram::from_shared(registry.histogram(
+    let latency = registry.histogram(
         "omg_serve_latency_seconds",
         "end-to-end submit-to-completion latency of successful queries",
-    ));
-    let queue_wait = LatencyHistogram::from_shared(registry.histogram(
+    );
+    let queue_wait = registry.histogram(
         "omg_serve_queue_wait_seconds",
         "admission-to-dequeue wait of every job a worker picked up",
-    ));
-    let compute = LatencyHistogram::from_shared(registry.histogram(
+    );
+    let compute = registry.histogram(
         "omg_serve_compute_seconds",
         "enclave compute time (classify + scrub) per served query",
-    ));
+    );
     let submitted = registry.counter(
         "omg_serve_submitted_total",
         "every submission attempt, admitted or bounced",
@@ -1600,10 +1513,10 @@ fn build_shared(
         "omg_serve_retried_total",
         "caller-side re-submissions via submit_with_retry",
     );
-    let time_to_recover = LatencyHistogram::from_shared(registry.histogram(
+    let time_to_recover = registry.histogram(
         "omg_serve_time_to_recover_seconds",
         "death-to-restart recovery time per supervised worker restart",
-    ));
+    );
     let hung = registry.counter(
         "omg_serve_hangs_total",
         "workers the liveness watchdog declared hung and preempted",
@@ -1612,17 +1525,16 @@ fn build_shared(
         "omg_serve_zombie_discards_total",
         "late publishes by preempted worker incarnations, discarded by generation check",
     );
-    let hang_detect = LatencyHistogram::from_shared(registry.histogram(
+    let hang_detect = registry.histogram(
         "omg_serve_hang_detect_seconds",
         "heartbeat-lease age at hang declaration (watchdog detection latency)",
-    ));
+    );
     let queued_gauge = registry.gauge("omg_serve_queued", "queries waiting in the admission queue");
-    let workers_gauge = registry.gauge("omg_serve_workers_live", "worker threads still serving");
+    let workers_gauge = registry.gauge("omg_serve_workers_live", "worker slots reading Live");
     let recorder_dropped = registry.gauge(
         "omg_serve_recorder_dropped_events",
         "flight-recorder events evicted by ring wraparound",
     );
-    workers_gauge.set(worker_count as i64);
     Ok(Arc::new(Shared {
         queue: ShardedQueue::new(worker_count, config.queue_capacity),
         latency,
@@ -1636,16 +1548,18 @@ fn build_shared(
         slo_violations,
         slo: config.slo,
         faults: config.faults.clone(),
-        live_workers: AtomicU64::new(worker_count as u64),
-        supervised,
         shutting_down: AtomicBool::new(false),
-        slot_health: Mutex::new(vec![WorkerHealth::Live; worker_count]),
-        served: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
+        slots: (0..worker_count)
+            .map(|_| Slot {
+                health: Mutex::new(WorkerHealth::Live),
+                lease: HeartbeatLease::new(),
+                served: AtomicU64::new(0),
+            })
+            .collect(),
         restarts,
         quarantined,
         retried,
         time_to_recover,
-        leases: (0..worker_count).map(|_| HeartbeatLease::new()).collect(),
         hung,
         zombie_discards,
         hang_detect,
@@ -1657,13 +1571,13 @@ fn build_shared(
     }))
 }
 
-/// Spawns one worker thread serving `device` on queue shard `index`.
-/// `exit_tx` is the supervised fleets' death-notification channel.
+/// Spawns one worker thread serving `device` on queue shard `index`;
+/// its exit is reported to the supervisor on `exit_tx`.
 pub(crate) fn spawn_worker(
     index: usize,
     device: OmgDevice,
     shared: &Arc<Shared>,
-    exit_tx: Option<mpsc::Sender<usize>>,
+    exit_tx: mpsc::Sender<usize>,
 ) -> JoinHandle<Result<WorkerExit, ServeError>> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
@@ -1683,7 +1597,7 @@ fn worker_loop(
     index: usize,
     mut device: OmgDevice,
     shared: &Shared,
-    exit_tx: Option<mpsc::Sender<usize>>,
+    exit_tx: mpsc::Sender<usize>,
 ) -> Result<WorkerExit, ServeError> {
     // Declared *before* the presence guard so it drops *after* it: a
     // worker dying with a query in hand registers its death (slot marked,
@@ -1695,13 +1609,13 @@ fn worker_loop(
     // every lease renewal, stat publish, and exit-bookkeeping path below
     // is gated on the captured value still matching, so a preempted
     // (zombie) incarnation publishes nothing.
-    let lease = &shared.leases[index];
+    let slot = &shared.slots[index];
+    let lease = &slot.lease;
     let generation = lease.generation.load(Ordering::Acquire);
     // Runs on every exit path (error returns and panics alike): marks the
-    // slot's health, notifies the supervisor, and — without one — the
-    // last worker out fails over stranded jobs so waiters never deadlock.
+    // slot `Down` and hands it to the supervisor.
     let _presence = WorkerPresence {
-        shared,
+        slot,
         index,
         generation,
         exit_tx,
@@ -1715,7 +1629,7 @@ fn worker_loop(
         let mut session = device.session()?;
         while let Some(job) = shared.queue.pop(index) {
             let wait = job.submitted.elapsed();
-            shared.queue_wait.record(wait);
+            shared.queue_wait.record_ns(nanos(wait));
             let (seq, deadline, submitted) = (job.seq, job.deadline, job.submitted);
             if let Some(rec) = recorder {
                 rec.record(index, Stage::Dequeue, seq, wait.as_nanos() as u64);
@@ -1847,13 +1761,13 @@ fn worker_loop(
             // verdict lost the race to the watchdog publishes *nothing*
             // (its only trace is `zombie_discards`).
             let won = in_flight.unpark().complete_with(result, || {
-                shared.compute.record(compute);
+                shared.compute.record_ns(nanos(compute));
                 if ok {
-                    shared.latency.record(latency);
+                    shared.latency.record_ns(nanos(latency));
                     // The slot's served counter, not a local: counts
                     // survive this incarnation's death and accumulate
                     // across restarts, so they always sum to `completed`.
-                    shared.served[index].fetch_add(1, Ordering::Relaxed);
+                    slot.served.fetch_add(1, Ordering::Relaxed);
                     if let Some(slo) = shared.slo {
                         if latency > slo {
                             shared.slo_violations.inc();
@@ -2921,28 +2835,25 @@ mod tests {
 
     #[test]
     fn submit_with_retry_returns_nonretryable_errors_immediately() {
-        let handle =
-            ServeHandle::provision(1, ServeConfig::default(), "kws", test_model(), 825).unwrap();
-        let shared = Arc::clone(&handle.shared);
-        handle.drain();
-        // Submitting against the drained runtime's shared state: the
-        // closed queue yields ShuttingDown, which must not be retried.
-        let probe = ServeHandle {
-            shared: Arc::clone(&shared),
-            runtime: Runtime::Direct(Vec::new()),
-            started: Instant::now(),
-        };
-        let before = shared.submitted.get();
+        // An uninitialized device: the only worker dies at once, the
+        // supervisor retires its slot Dead and closes the queue.
+        let uninitialized = OmgDevice::new(825).unwrap();
+        let handle = ServeHandle::start(vec![uninitialized], ServeConfig::default()).unwrap();
+        await_health(&handle, FleetHealth::Dead);
+        // ShuttingDown (refused at admission) must not be retried.
+        let before = handle.stats().submitted;
         assert_eq!(
-            probe.submit_with_retry(&[0i16; 16_000], &RetryPolicy::default()),
+            handle.submit_with_retry(&[0i16; 16_000], &RetryPolicy::default()),
             Err(ServeError::ShuttingDown)
         );
+        let stats = handle.stats();
         assert_eq!(
-            shared.submitted.get(),
+            stats.submitted,
             before + 1,
             "a non-retryable error must consume exactly one attempt"
         );
-        assert_eq!(shared.retried.get(), 0);
+        assert_eq!(stats.retried, 0);
+        assert!(!handle.drain().is_healthy());
     }
 
     /// A hang policy tuned for tests: tens-of-milliseconds detection so
@@ -2957,34 +2868,49 @@ mod tests {
     }
 
     #[test]
-    fn hang_detection_requires_supervision() {
-        // Preemption re-provisions the slot, so a hang policy without a
-        // restart policy (or through `start`, which cannot re-provision
-        // at all) must be refused loudly.
-        assert!(matches!(
-            ServeHandle::provision(
-                1,
-                ServeConfig {
-                    hang: Some(HangPolicy::default()),
-                    ..ServeConfig::default()
-                },
-                "kws",
-                test_model(),
-                850,
-            ),
-            Err(ServeError::Config(_))
-        ));
-        let devices = provision_devices(1, "kws", test_model(), 851).unwrap();
-        assert!(matches!(
-            ServeHandle::start(
-                devices,
-                ServeConfig {
-                    hang: Some(HangPolicy::default()),
-                    ..ServeConfig::default()
-                }
-            ),
-            Err(ServeError::Config(_))
-        ));
+    fn hang_without_restart_policy_retires_the_slot_dead() {
+        // A `start` fleet has no restart policy: the watchdog preempts the
+        // wedged worker and the supervisor retires its slot for good.
+        let data = omg_speech::dataset::SyntheticSpeechCommands::new(85);
+        let samples = data.utterance(3, 0).unwrap();
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_query(0, QueryFault::Hang);
+        let devices = provision_devices(1, "kws", test_model(), 850).unwrap();
+        let handle = ServeHandle::start(
+            devices,
+            ServeConfig {
+                queue_capacity: 8,
+                faults: Some(Arc::clone(&plan)),
+                hang: Some(quick_hang_policy()),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        // The single worker wedges on seq 0, so seq 1 waits in the queue.
+        let doomed = handle.submit(&samples).unwrap();
+        let queued = handle.submit(&samples).unwrap();
+        assert_eq!(doomed.wait(), Err(ServeError::Hung));
+        await_health(&handle, FleetHealth::Dead);
+        assert_eq!(handle.worker_health(), vec![WorkerHealth::Dead]);
+        // Nobody is left to serve: the queued job is failed over.
+        assert_eq!(queued.wait(), Err(ServeError::ShuttingDown));
+        // Release the zombie: its late completion publishes nothing.
+        plan.wake_hung();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.stats().zombie_discards < 1 {
+            assert!(Instant::now() < deadline, "zombie never discarded");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let drained = handle.drain();
+        assert_eq!(drained.worker_errors, vec![ServeError::Hung]);
+        let s = &drained.stats;
+        assert_eq!((s.hung, s.restarts, s.quarantined), (1, 0, 0));
+        assert_eq!((s.completed, s.discarded, s.zombie_discards), (0, 2, 1));
+        assert_eq!(
+            s.completed + s.rejected + s.failed + s.shed + s.discarded,
+            s.submitted,
+            "identity violated: {s}"
+        );
     }
 
     #[test]
@@ -3027,7 +2953,6 @@ mod tests {
         assert!(served.class_index < 12);
         let stats = handle.stats();
         assert_eq!(stats.hung, 1);
-        assert!(stats.supervised);
         assert!(
             stats
                 .to_string()

@@ -6,11 +6,11 @@
 //! permanently shrinks the fleet. Supervision turns those terminal
 //! failures into transient ones:
 //!
-//! * a **supervisor thread** (one per supervised fleet) joins each dead
-//!   worker, re-provisions a replacement device through the fleet's warm
-//!   [`omg_core::session::ModelCache`] image (the expensive preparation
-//!   work is shared, so a replacement is nearly free), and restarts the
-//!   worker on the same queue shard;
+//! * a **supervisor thread** (one per fleet) joins each dead worker and,
+//!   under a [`RestartPolicy`], re-provisions a replacement device through
+//!   the fleet's warm [`omg_core::session::ModelCache`] image (the
+//!   expensive preparation work is shared, so a replacement is nearly
+//!   free) and restarts the worker on the same queue shard;
 //! * a [`RestartPolicy`] governs the loop: exponential backoff between
 //!   restarts, a per-worker restart budget, and **crash-loop detection**
 //!   that [quarantines](WorkerHealth::Quarantined) a flapping worker
@@ -28,15 +28,21 @@
 //!   lease and *preempts* a worker that stopped renewing — the wedged
 //!   thread is detached behind a per-slot generation token (its
 //!   late-waking publishes are discarded), its in-flight ticket resolves
-//!   with the retryable [`ServeError::Hung`], and the slot is
-//!   re-provisioned under the same [`RestartPolicy`] (hangs count as
-//!   strikes; repeat hangers quarantine). A hang thereby becomes just
-//!   another transient fault.
+//!   with the retryable [`ServeError::Hung`], and the slot is lost like a
+//!   crashed one (under a [`RestartPolicy`], hangs count as strikes and
+//!   repeat hangers quarantine). A hang thereby becomes just another
+//!   transient fault.
 //!
-//! Supervision is enabled by setting `ServeConfig::restart` and starting
-//! the fleet through [`ServeHandle::provision`](crate::ServeHandle::provision)
-//! — re-provisioning needs the model and seed, so
+//! Every fleet runs under a supervisor: a worker exit and a watchdog
+//! preemption both reach the supervisor's `slot_lost`, the one place a
+//! slot's fate is decided. A fleet without a restart policy retires a
+//! lost slot [`WorkerHealth::Dead`]. Restarts are enabled by setting
+//! `ServeConfig::restart` and starting the fleet through
+//! [`ServeHandle::provision`](crate::ServeHandle::provision) —
+//! re-provisioning needs the model and seed, so
 //! [`ServeHandle::start`](crate::ServeHandle::start) rejects the knob.
+//! When no slot is left to serve or come back, the supervisor closes the
+//! queue and fails over every job still in it.
 //!
 //! Every lifecycle transition is stamped into the flight recorder
 //! ([`Stage::WorkerDown`], [`Stage::WorkerRestart`],
@@ -158,8 +164,9 @@ fn decorrelated_jitter(
 }
 
 /// When (and whether) the supervisor's liveness watchdog declares a
-/// worker hung. Install via `ServeConfig::hang` (requires supervision —
-/// preemption re-provisions the slot, so `restart` must be set too).
+/// worker hung. Install via `ServeConfig::hang`; a preempted slot is
+/// re-provisioned under `ServeConfig::restart`, or retired `Dead` without
+/// it.
 ///
 /// A worker renews its per-slot heartbeat lease at dequeue, at compute
 /// start, and periodically through the stall tick seam, so a *legitimate*
@@ -251,8 +258,8 @@ impl RetryPolicy {
 pub enum WorkerHealth {
     /// The slot's worker thread is serving.
     Live,
-    /// The worker died; on a supervised fleet the supervisor has not yet
-    /// picked the death up (it will restart or quarantine the slot).
+    /// The worker died; the supervisor has not yet picked the death up
+    /// (it will restart, quarantine or retire the slot).
     Down,
     /// The supervisor is between death and replacement: backing off or
     /// re-provisioning a device for this slot.
@@ -260,13 +267,14 @@ pub enum WorkerHealth {
     /// The liveness watchdog declared the slot's worker hung (heartbeat
     /// lease expired past TTL + grace): the wedged thread is detached,
     /// its ticket resolved with [`ServeError::Hung`], and the slot is
-    /// about to restart or quarantine per policy.
+    /// about to restart, quarantine or retire per policy.
     Hung,
     /// The supervisor gave up on the slot — crash loop or exhausted
     /// restart budget. Quarantined slots never restart.
     Quarantined,
-    /// The slot is terminally gone (unsupervised death, or exit during
-    /// drain).
+    /// The slot is terminally gone: the supervisor retired it after a
+    /// loss on a fleet without a restart policy, or after its worker
+    /// exited during drain.
     Dead,
 }
 
@@ -286,8 +294,8 @@ pub enum FleetHealth {
     /// fleet (if any) keeps serving.
     Quarantined,
     /// No slot is live or coming back, and none was quarantined: the
-    /// fleet died outright (e.g. an unsupervised fleet losing every
-    /// worker).
+    /// fleet died outright (e.g. a fleet without a restart policy losing
+    /// every worker).
     Dead,
 }
 
@@ -321,9 +329,11 @@ pub(crate) fn fleet_health(slots: &[WorkerHealth]) -> FleetHealth {
     }
 }
 
-/// Everything the supervisor needs to provision a replacement device:
-/// the original provisioning arguments plus the fleet's warm model cache.
+/// Everything the supervisor needs to restart a lost slot: the restart
+/// policy, the original provisioning arguments and the fleet's warm model
+/// cache.
 pub(crate) struct ReprovisionContext {
+    pub(crate) policy: RestartPolicy,
     pub(crate) model_id: String,
     pub(crate) model: Model,
     pub(crate) seed: u64,
@@ -368,155 +378,144 @@ impl SlotState {
     }
 }
 
-/// One slot's final outcome, reported to [`crate::ServeHandle::drain`]:
-/// exactly one of `device` (clean exit) or `error` (terminal failure).
-pub(crate) struct SlotReport {
-    pub(crate) device: Option<OmgDevice>,
-    pub(crate) error: Option<ServeError>,
-}
-
-/// Sentinel worker index drain sends to wake the supervisor out of its
-/// blocking receive. Real worker indices are bounded by the fleet size.
-pub(crate) const SUPERVISOR_WAKE: usize = usize::MAX;
-
 /// Slice length for interruptible backoff sleeps: drain never waits more
 /// than this behind a supervisor mid-backoff.
 const BACKOFF_SLICE: Duration = Duration::from_millis(5);
 
-/// The supervisor thread's state: owns every worker's join handle and the
-/// re-provisioning context.
+/// The supervisor thread's state: owns every worker's join handle and,
+/// under a restart policy, the re-provisioning context.
 pub(crate) struct Supervisor {
     pub(crate) shared: Arc<Shared>,
-    pub(crate) policy: RestartPolicy,
+    /// `None` for a fleet without a restart policy: a lost slot is
+    /// retired `Dead`.
+    pub(crate) restart: Option<ReprovisionContext>,
     pub(crate) hang: Option<HangPolicy>,
-    pub(crate) ctx: ReprovisionContext,
     pub(crate) slots: Vec<SlotState>,
     pub(crate) exit_tx: mpsc::Sender<usize>,
 }
 
 impl Supervisor {
-    /// The supervisor loop: block on worker-exit notifications, join the
-    /// dead worker, and restart or quarantine its slot per policy. With a
-    /// [`HangPolicy`] installed the blocking receive becomes a timed one,
-    /// and every timeout runs a watchdog scan over the heartbeat leases —
-    /// a wedged worker never sends an exit event, so hang detection is
-    /// purely scan-driven. On shutdown (drain's wake sentinel, or every
-    /// sender gone) joins every remaining incarnation and reports one
-    /// device-or-error per slot.
-    pub(crate) fn run(mut self, exit_rx: mpsc::Receiver<usize>) -> Vec<SlotReport> {
-        let scan_every = self.hang.as_ref().map(|h| h.scan_interval);
-        while !self.shared.shutting_down.load(Ordering::Acquire) {
-            let index = match scan_every {
-                Some(interval) => match exit_rx.recv_timeout(interval) {
-                    Ok(index) => index,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        self.scan_leases();
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                },
-                None => match exit_rx.recv() {
-                    Ok(index) => index,
-                    Err(_) => break,
-                },
-            };
-            if index == SUPERVISOR_WAKE || self.shared.shutting_down.load(Ordering::Acquire) {
-                break;
+    /// The supervisor loop: receive worker-exit notifications and hand
+    /// each lost slot to [`Self::slot_lost`]. With a [`HangPolicy`]
+    /// installed the receive is timed, and every timeout runs a watchdog
+    /// scan over the heartbeat leases — a wedged worker never sends an
+    /// exit event, so hang detection is purely scan-driven. Returns once
+    /// every slot is retired (drain closes the queue, so every worker
+    /// exits), with one device-or-error per slot.
+    pub(crate) fn run(
+        mut self,
+        exit_rx: mpsc::Receiver<usize>,
+    ) -> Vec<Result<OmgDevice, ServeError>> {
+        // No hang policy: `recv_timeout` treats an unrepresentable
+        // deadline as none and blocks like `recv`. The channel never
+        // disconnects, since `self.exit_tx` is a live sender.
+        let scan_every = self
+            .hang
+            .as_ref()
+            .map_or(Duration::MAX, |h| h.scan_interval);
+        while !self
+            .shared
+            .slots
+            .iter()
+            .all(|slot| retired(*slot.health.lock()))
+        {
+            match exit_rx.recv_timeout(scan_every) {
+                Ok(index) => self.worker_exited(index),
+                Err(_) => self.scan_leases(),
             }
-            self.handle_death(index);
         }
-        // Shutdown: the queue is closed (by drain or by a terminal
-        // quarantine), so every still-running incarnation exits once it
-        // drains; join them all and settle each slot's outcome.
         self.slots
             .into_iter()
-            .map(|mut slot| {
-                if let Some(handle) = slot.handle.take() {
-                    match handle.join() {
-                        Ok(Ok(exit)) => {
-                            slot.device = Some(exit.device);
-                            slot.error = None;
-                        }
-                        Ok(Err(e)) => {
-                            slot.device = None;
-                            slot.error = Some(e);
-                        }
-                        Err(_) => {
-                            slot.device = None;
-                            slot.error = Some(ServeError::WorkerPanicked);
-                        }
-                    }
-                }
-                SlotReport {
-                    device: slot.device,
-                    error: slot.error,
-                }
+            .map(|slot| match (slot.device, slot.error) {
+                (Some(device), _) => Ok(device),
+                (None, Some(error)) => Err(error),
+                // Unreachable by construction; never silently shrink the
+                // conservation count if it regresses.
+                (None, None) => Err(ServeError::WorkerPanicked),
             })
             .collect()
     }
 
-    /// Handles one worker death end to end: join, classify, strike
-    /// accounting, then restart (after backoff, on a freshly provisioned
-    /// device) or quarantine.
-    fn handle_death(&mut self, index: usize) {
+    /// Joins an exited worker and classifies the exit: a clean exit (the
+    /// queue closed) retires the slot with its device, a death is a lost
+    /// slot.
+    fn worker_exited(&mut self, index: usize) {
         let Some(handle) = self.slots[index].handle.take() else {
-            return; // already settled (e.g. duplicate wake)
+            return; // already settled
         };
-        let error = match handle.join() {
+        let cause = match handle.join() {
             Ok(Ok(exit)) => {
-                // A clean exit mid-run only follows a terminal queue
-                // close; keep the device for drain.
                 self.slots[index].device = Some(exit.device);
                 self.slots[index].error = None;
-                self.shared.slot_health.lock()[index] = WorkerHealth::Dead;
+                self.retire(index, WorkerHealth::Dead);
                 return;
             }
             Ok(Err(e)) => e,
             Err(_) => ServeError::WorkerPanicked,
         };
-        let down_at = Instant::now();
-        // Strike accounting: a death after a stable run starts a fresh
-        // streak; a rapid death extends the current one.
-        if down_at.duration_since(self.slots[index].spawned_at) >= self.policy.stable_after {
-            self.slots[index].strikes = 0;
-        }
-        self.slots[index].strikes += 1;
-        let strikes = self.slots[index].strikes;
         if let Some(rec) = &self.shared.recorder {
             rec.record(
                 Shared::submit_ring(rec),
                 Stage::WorkerDown,
                 index as u64,
-                u64::from(matches!(error, ServeError::WorkerPanicked)),
+                u64::from(cause == ServeError::WorkerPanicked),
             );
         }
-        self.slots[index].error = Some(error);
-        if self.slots[index].restarts >= self.policy.max_restarts
-            || strikes >= self.policy.crash_loop_threshold
+        self.slot_lost(index, cause);
+    }
+
+    /// Decides a lost slot's fate, for a dead worker and a preempted one
+    /// alike. Draining, or without a restart policy, the slot is retired
+    /// `Dead`; otherwise strike accounting picks restart (after backoff,
+    /// on a freshly provisioned device) or quarantine.
+    fn slot_lost(&mut self, index: usize, cause: ServeError) {
+        let lost_at = Instant::now();
+        let hung = cause == ServeError::Hung;
+        self.slots[index].error = Some(cause);
+        let Some(ctx) = self
+            .restart
+            .as_ref()
+            .filter(|_| !self.shared.shutting_down.load(Ordering::Acquire))
+        else {
+            return self.retire(index, WorkerHealth::Dead);
+        };
+        let policy = &ctx.policy;
+        let slot = &mut self.slots[index];
+        // Strike accounting: a loss after a stable run starts a fresh
+        // streak; a rapid one extends the current streak.
+        if lost_at.duration_since(slot.spawned_at) >= policy.stable_after {
+            slot.strikes = 0;
+        }
+        slot.strikes += 1;
+        slot.hangs += u32::from(hung);
+        let strikes = slot.strikes;
+        let max_hangs = self.hang.as_ref().map_or(u32::MAX, |h| h.max_hangs);
+        if (hung && slot.hangs >= max_hangs)
+            || slot.restarts >= policy.max_restarts
+            || strikes >= policy.crash_loop_threshold
         {
             self.quarantine(index, strikes);
-            return;
+        } else {
+            self.restart_slot(index, lost_at, strikes);
         }
-        self.restart_slot(index, down_at, strikes);
     }
 
     /// Scans every live slot's heartbeat lease against the hang policy
     /// and preempts the expired ones. No-op without a policy.
     fn scan_leases(&mut self) {
-        let Some(policy) = self.hang.clone() else {
+        let Some(expiry) = self.hang.as_ref().map(|h| h.lease_ttl + h.grace) else {
             return;
         };
-        let expiry_ns = (policy.lease_ttl + policy.grace)
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
+        let expiry_ns = crate::nanos(expiry);
         let now = omg_obs::monotonic_ns();
         for index in 0..self.slots.len() {
+            let slot = &self.shared.slots[index];
             // Only Live slots carry a lease a worker should be renewing;
             // Hung/Restarting slots were already preempted this incarnation.
-            if !matches!(self.shared.slot_health.lock()[index], WorkerHealth::Live) {
+            if *slot.health.lock() != WorkerHealth::Live {
                 continue;
             }
-            let stamp = self.shared.leases[index].stamp_ns.load(Ordering::Acquire);
+            let stamp = slot.lease.stamp_ns.load(Ordering::Acquire);
             if stamp == 0 {
                 continue; // idle: no query in hand, nothing to preempt
             }
@@ -528,27 +527,18 @@ impl Supervisor {
     }
 
     /// Declares one slot hung: fences out the wedged incarnation behind a
-    /// fresh generation, resolves its in-flight ticket with the retryable
-    /// [`ServeError::Hung`], detaches (never joins) the wedged thread,
-    /// and hands the slot to strike accounting.
+    /// fresh generation, detaches (never joins) the wedged thread, marks
+    /// the slot `Hung`, resolves its in-flight ticket with the retryable
+    /// [`ServeError::Hung`], and hands the slot to [`Self::slot_lost`].
     fn declare_hang(&mut self, index: usize, age_ns: u64) {
-        let lease = &self.shared.leases[index];
+        let slot = &self.shared.slots[index];
         // Generation bump FIRST: from here on, everything the zombie
         // publishes — verdict, stats, its presence guard's exit
         // bookkeeping — is discarded by generation check.
-        lease.generation.fetch_add(1, Ordering::AcqRel);
-        lease.stamp_ns.store(0, Ordering::Release);
-        // Resolve the wedged ticket. The response slot is first-writer-
-        // wins, so exactly one of {watchdog, late-waking zombie} counts
-        // the query: if our fill wins, the query is `discarded` (it died
-        // unserved); if the zombie somehow completed in the race window,
-        // its own publish won and we count nothing.
-        if let Some((_seq, slot)) = lease.current.lock().take() {
-            let discarded = &self.shared.discarded;
-            slot.fill_with(Err(ServeError::Hung), || discarded.inc());
-        }
+        slot.lease.generation.fetch_add(1, Ordering::AcqRel);
+        slot.lease.stamp_ns.store(0, Ordering::Release);
         self.shared.hung.inc();
-        self.shared.hang_detect.record(Duration::from_nanos(age_ns));
+        self.shared.hang_detect.record_ns(age_ns);
         if let Some(rec) = &self.shared.recorder {
             rec.record(
                 Shared::submit_ring(rec),
@@ -557,44 +547,36 @@ impl Supervisor {
                 age_ns,
             );
         }
-        // The wedged thread no longer counts as serving. Its eventual
-        // exit is generation-gated and will NOT decrement again (nor
-        // send an exit event — joining the live replacement by mistake
-        // would wedge this very supervisor).
-        self.shared.live_workers.fetch_sub(1, Ordering::AcqRel);
         // Detach, never join: joining a wedged thread hangs the watchdog.
+        // Its eventual exit is generation-gated and sends no exit event
+        // (joining the live replacement by mistake would wedge this very
+        // supervisor).
         drop(self.slots[index].handle.take());
-        self.shared.slot_health.lock()[index] = WorkerHealth::Hung;
-        self.slots[index].error = Some(ServeError::Hung);
-        self.handle_hang(index);
-    }
-
-    /// Strike accounting for a preempted hang, then restart or
-    /// quarantine — the same policy arithmetic as a death, plus the
-    /// per-slot hang budget.
-    fn handle_hang(&mut self, index: usize) {
-        let down_at = Instant::now();
-        if down_at.duration_since(self.slots[index].spawned_at) >= self.policy.stable_after {
-            self.slots[index].strikes = 0;
+        // The slot reads Hung, and the hang is counted, before the verdict
+        // lands — as a dying worker's slot reads Down before its verdict
+        // does: an observer that sees the books balance must also see
+        // the slot recovering.
+        *slot.health.lock() = WorkerHealth::Hung;
+        // Resolve the wedged ticket. The response slot is first-writer-
+        // wins, so exactly one of {watchdog, late-waking zombie} counts
+        // the query: if our fill wins, the query is `discarded` (it died
+        // unserved); if the zombie somehow completed in the race window,
+        // its own publish won and we count nothing.
+        if let Some((_seq, response)) = slot.lease.current.lock().take() {
+            let discarded = &self.shared.discarded;
+            response.fill_with(Err(ServeError::Hung), || discarded.inc());
         }
-        self.slots[index].strikes += 1;
-        self.slots[index].hangs += 1;
-        let strikes = self.slots[index].strikes;
-        let max_hangs = self.hang.as_ref().map_or(u32::MAX, |h| h.max_hangs);
-        if self.slots[index].hangs >= max_hangs
-            || self.slots[index].restarts >= self.policy.max_restarts
-            || strikes >= self.policy.crash_loop_threshold
-        {
-            self.quarantine(index, strikes);
-            return;
-        }
-        self.restart_slot(index, down_at, strikes);
+        self.slot_lost(index, ServeError::Hung);
     }
 
     /// Backs off (jittered, interruptibly), provisions a replacement
     /// device through the warm cache, and restarts the slot on it.
     fn restart_slot(&mut self, index: usize, down_at: Instant, strikes: u32) {
-        self.shared.slot_health.lock()[index] = WorkerHealth::Restarting;
+        let ctx = self
+            .restart
+            .as_mut()
+            .expect("only a fleet with a restart policy restarts slots");
+        *self.shared.slots[index].health.lock() = WorkerHealth::Restarting;
         // Decorrelated-jitter backoff: the word is a pure function of
         // (fleet seed, slot, slot event count), so seeded runs replay
         // identically while simultaneous deaths de-synchronize. Slept in
@@ -602,12 +584,11 @@ impl Supervisor {
         // behind the full sleep.
         let events = u64::from(self.slots[index].restarts) + u64::from(self.slots[index].hangs) + 1;
         let word = splitmix64(
-            self.ctx
-                .seed
+            ctx.seed
                 .wrapping_add(0x0042_4143_4b4f_4646_u64.wrapping_mul(index as u64 + 1))
                 .wrapping_add(events.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
-        let backoff = self
+        let backoff = ctx
             .policy
             .jittered_backoff(strikes, self.slots[index].prev_backoff, word);
         self.slots[index].prev_backoff = backoff;
@@ -618,21 +599,21 @@ impl Supervisor {
             remaining = remaining.saturating_sub(slice);
         }
         if self.shared.shutting_down.load(Ordering::Acquire) {
-            return; // the slot's error stands; drain reports it
+            // The slot's error stands; drain reports it.
+            return self.retire(index, WorkerHealth::Dead);
         }
-        self.ctx.replacements += 1;
+        ctx.replacements += 1;
         // Deterministic and distinct per replacement: a seeded scenario
         // re-run provisions bit-identical replacement devices.
-        let replacement_seed = self
-            .ctx
+        let replacement_seed = ctx
             .seed
-            .wrapping_add(0x5245_5052_4f56u64.wrapping_mul(self.ctx.replacements));
+            .wrapping_add(0x5245_5052_4f56u64.wrapping_mul(ctx.replacements));
         match provision_devices_with_cache(
             1,
-            &self.ctx.model_id,
-            self.ctx.model.clone(),
+            &ctx.model_id,
+            ctx.model.clone(),
             replacement_seed,
-            &mut self.ctx.cache,
+            &mut ctx.cache,
         ) {
             Ok(mut devices) => {
                 let device = devices.pop().expect("asked for one device");
@@ -644,7 +625,9 @@ impl Supervisor {
                 // harness's await-settled step reads them right after).
                 self.shared.restarts.inc();
                 let recovered_in = down_at.elapsed();
-                self.shared.time_to_recover.record(recovered_in);
+                self.shared
+                    .time_to_recover
+                    .record_ns(crate::nanos(recovered_in));
                 if let Some(rec) = &self.shared.recorder {
                     rec.record(
                         Shared::submit_ring(rec),
@@ -653,16 +636,15 @@ impl Supervisor {
                         recovered_in.as_nanos() as u64,
                     );
                 }
-                // Mark live and bump the live count *before* the spawn:
-                // if the replacement dies instantly, its presence guard
-                // must observe a count that already includes it.
-                self.shared.slot_health.lock()[index] = WorkerHealth::Live;
-                self.shared.live_workers.fetch_add(1, Ordering::AcqRel);
+                // Mark live *before* the spawn: if the replacement dies
+                // instantly, its presence guard's `Down` must not be
+                // overwritten.
+                *self.shared.slots[index].health.lock() = WorkerHealth::Live;
                 self.slots[index].handle = Some(spawn_worker(
                     index,
                     device,
                     &self.shared,
-                    Some(self.exit_tx.clone()),
+                    self.exit_tx.clone(),
                 ));
             }
             Err(e) => {
@@ -673,17 +655,13 @@ impl Supervisor {
         }
     }
 
-    /// Permanently retires a slot. If that leaves nobody serving and
-    /// nobody coming back, the fleet is terminally down: close the queue
-    /// and fail over whatever is still queued — the last-man-out guard
-    /// deliberately leaves this to the supervisor on supervised fleets,
-    /// because a `Down` worker there may yet return.
+    /// Permanently retires a slot as `Quarantined` (crash loop, exhausted
+    /// budget, or no replacement device).
     fn quarantine(&mut self, index: usize, strikes: u32) {
         // Counter before slot state, for the same reason the restart path
         // counts before marking Live: once the slot stops reading as
         // recovering, its terminal outcome must already be in the stats.
         self.shared.quarantined.inc();
-        self.shared.slot_health.lock()[index] = WorkerHealth::Quarantined;
         if let Some(rec) = &self.shared.recorder {
             rec.record(
                 Shared::submit_ring(rec),
@@ -692,18 +670,42 @@ impl Supervisor {
                 u64::from(strikes),
             );
         }
-        let nobody_left = self
-            .shared
-            .slot_health
-            .lock()
+        self.retire(index, WorkerHealth::Quarantined);
+    }
+
+    /// Moves a slot to its terminal `state`. If that leaves nobody
+    /// serving and nobody coming back, the fleet is over: the queue
+    /// closes *before* the state shows (a caller that sees the fleet gone
+    /// is refused at admission), and every job still queued is failed
+    /// over with the verdict of this last loss — `WorkerPanicked` after a
+    /// panic, `ShuttingDown` otherwise.
+    fn retire(&mut self, index: usize, state: WorkerHealth) {
+        let slots = &self.shared.slots;
+        // Only this thread writes terminal states, so the other slots'
+        // cannot change under the check.
+        let nobody_left = slots
             .iter()
-            .all(|h| matches!(h, WorkerHealth::Quarantined | WorkerHealth::Dead));
+            .enumerate()
+            .all(|(i, slot)| i == index || retired(*slot.health.lock()));
         if nobody_left {
             self.shared.queue.close();
-            // Dropping a job fills its response slot with ShuttingDown.
-            while self.shared.queue.pop(index).is_some() {}
+        }
+        *slots[index].health.lock() = state;
+        if nobody_left {
+            let verdict = match self.slots[index].error {
+                Some(ServeError::WorkerPanicked) => ServeError::WorkerPanicked,
+                _ => ServeError::ShuttingDown,
+            };
+            while let Some(mut job) = self.shared.queue.pop(index) {
+                job.discard(verdict.clone(), false);
+            }
         }
     }
+}
+
+/// Whether a slot state is terminal: no worker serves it and none will.
+fn retired(health: WorkerHealth) -> bool {
+    matches!(health, WorkerHealth::Quarantined | WorkerHealth::Dead)
 }
 
 #[cfg(test)]

@@ -416,9 +416,9 @@ mod tests {
 
     #[test]
     fn every_hang_scenario_is_supervised() {
-        // The runtime rejects a HangPolicy without a RestartPolicy (the
-        // watchdog needs the supervisor to re-provision preempted slots);
-        // catch a mis-built catalog entry statically.
+        // Every catalog hang scenario expects the preempted slot back,
+        // which takes a RestartPolicy next to the HangPolicy (without one
+        // the slot is retired Dead); catch a mis-built entry statically.
         for s in all() {
             let hangs_scripted = s.steps.iter().any(
                 |x| matches!(x, crate::Step::Fault { fault, .. } if *fault == QueryFault::Hang),

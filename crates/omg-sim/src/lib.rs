@@ -204,13 +204,14 @@ pub struct Scenario {
     /// GEMM kernel thread budget installed for the run (1 = inference
     /// stays single-threaded inside each serving worker).
     pub kernel_threads: usize,
-    /// When set, the fleet runs supervised: dead workers are re-provisioned
-    /// and restarted under this policy, and the engine checks the capacity
-    /// convergence invariant after drain.
+    /// When set, dead workers are re-provisioned and restarted under this
+    /// policy (retired `Dead` without it), and the engine checks the
+    /// capacity convergence invariant after drain.
     pub restart: Option<RestartPolicy>,
     /// When set, the supervisor's liveness watchdog runs under this policy:
     /// wedged workers are preempted ([`ServeError::Hung`] to the waiter)
-    /// and their slots re-provisioned. Requires [`Scenario::restart`].
+    /// and their slots re-provisioned (retired `Dead` without
+    /// [`Scenario::restart`]).
     pub hang: Option<HangPolicy>,
     /// The script.
     pub steps: Vec<Step>,
@@ -262,7 +263,7 @@ impl Scenario {
         self
     }
 
-    /// Enables worker supervision under `policy` (see
+    /// Restarts lost workers under `policy` (see
     /// [`omg_serve::RestartPolicy`]).
     #[must_use]
     pub fn restart(mut self, policy: RestartPolicy) -> Self {
@@ -271,7 +272,7 @@ impl Scenario {
     }
 
     /// Enables the liveness watchdog under `policy` (see
-    /// [`omg_serve::HangPolicy`]); requires [`Scenario::restart`].
+    /// [`omg_serve::HangPolicy`]).
     #[must_use]
     pub fn hang(mut self, policy: HangPolicy) -> Self {
         self.hang = Some(policy);
@@ -732,7 +733,6 @@ impl<'s> Engine<'s> {
                 queue_capacity: self.scenario.queue_capacity,
                 slo: None,
                 faults: Some(Arc::clone(&plan)),
-                kernel_threads: Some(self.scenario.kernel_threads),
                 restart: self.scenario.restart.clone(),
                 hang: self.scenario.hang.clone(),
                 // Forced on (not env-dependent): every chaos failure must
