@@ -22,27 +22,23 @@
 //!    ultimately succeed; the bench asserts it stays ≥ 0.95 (preemption +
 //!    retry together make a wedged worker a transient, not an outage).
 //!
-//! Results are appended as JSON to `target/bench-json/hang_recovery.json`
-//! and `trajectory.jsonl`; `availability` and `preemptions_per_s` are
-//! watched by the `bench_check` regression gate. Run with `--quick` for
-//! the CI smoke mode.
+//! The harness records the results as JSON in
+//! `target/bench-json/hang_recovery.json` and `trajectory.jsonl`;
+//! `availability` and `preemptions_per_s` are watched by the
+//! `bench_check` regression gate. Run with `--quick` for the CI smoke
+//! mode.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use omg_bench::harness::{self, await_full_capacity, RECOVERY_TIMEOUT};
 use omg_bench::{cached_tiny_conv, paper_test_subset, ModelKind};
 use omg_core::session::provision_devices;
 use omg_serve::fault::{FaultPlan, QueryFault};
 use omg_serve::{
     FleetHealth, HangPolicy, RestartPolicy, RetryPolicy, ServeConfig, ServeError, ServeHandle,
-    WorkerHealth,
 };
-
-/// How long a single re-provisioning may take before the bench declares
-/// the supervisor itself stuck.
-const RECOVERY_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Every 25th admission wedges in the chaos phase.
 const HANG_EVERY: u64 = 25;
@@ -74,36 +70,6 @@ fn bench_restart_policy() -> RestartPolicy {
 /// tiny against an unwatched hang (which would wait forever).
 fn detect_bound(policy: &HangPolicy) -> Duration {
     policy.lease_ttl + policy.grace + policy.scan_interval * 20 + Duration::from_millis(500)
-}
-
-/// Polls until the fleet has fully digested `min_restarts` preemptions
-/// and every slot is `Live` again; returns the wait. The restart count is
-/// checked *first*: the caller's `Hung` verdict lands before the
-/// watchdog flips the slot to `Hung`/`Restarting`, so an all-`Live` read
-/// alone could race ahead of the preemption it is waiting out (the
-/// `restarts` counter is incremented while the slot still reads
-/// `Restarting`, so once it shows, the remaining wait is just the `Live`
-/// flip). Panics if the fleet does not recover within
-/// [`RECOVERY_TIMEOUT`].
-fn await_full_capacity(handle: &ServeHandle, min_restarts: u64) -> Duration {
-    let start = Instant::now();
-    loop {
-        if handle.stats().restarts >= min_restarts
-            && handle
-                .worker_health()
-                .iter()
-                .all(|h| *h == WorkerHealth::Live)
-        {
-            return start.elapsed();
-        }
-        assert!(
-            start.elapsed() < RECOVERY_TIMEOUT,
-            "fleet never returned to full capacity: {:?} ({}/{min_restarts} restarts)",
-            handle.worker_health(),
-            handle.stats().restarts,
-        );
-        std::thread::yield_now();
-    }
 }
 
 /// Releases the plan's one-way hang gate and waits until every
@@ -157,6 +123,7 @@ fn run_preempt_rounds(rounds: usize, samples: &[i16], seed: u64) -> PreemptResul
         seed,
     )
     .expect("provision supervised fleet");
+    harness::watch(&handle);
 
     let mut seq = 0u64;
     let mut detects = Vec::with_capacity(rounds);
@@ -260,6 +227,7 @@ fn run_chaos_stream(workload: &[&[i16]], seed: u64) -> ChaosResult {
         seed,
     )
     .expect("provision chaos fleet");
+    harness::watch(&handle);
     let retry = RetryPolicy {
         max_attempts: 6,
         backoff_initial: Duration::from_millis(1),
@@ -305,7 +273,10 @@ fn run_chaos_stream(workload: &[&[i16]], seed: u64) -> ChaosResult {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    harness::run("hang_recovery", bench);
+}
+
+fn bench(quick: bool) -> String {
     let rounds = if quick { 3 } else { 8 };
     let queries = if quick { 120 } else { 600 };
     let eval = paper_test_subset(1);
@@ -375,14 +346,5 @@ fn main() {
         chaos.availability,
         chaos.host_qps,
     );
-
-    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-json");
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let latest = out_dir.join("hang_recovery.json");
-        let _ = std::fs::write(&latest, &json);
-        let trajectory = out_dir.join("trajectory.jsonl");
-        let existing = std::fs::read_to_string(&trajectory).unwrap_or_default();
-        let _ = std::fs::write(&trajectory, existing + &json + "\n");
-        println!("bench JSON: {}", latest.display());
-    }
+    json
 }

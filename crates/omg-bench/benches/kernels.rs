@@ -14,8 +14,8 @@
 //! The fast tier under test follows `OMG_KERNELS` (default: the detected
 //! SIMD vtable; `portable` pins the lanes fallback), and the JSON output
 //! records it as `"tier"`, so CI's rolling baselines can distinguish
-//! SIMD runs from portable runs. Set `OMG_BENCH_DIR` to redirect the
-//! JSON (CI uses it to upload per-tier files side by side).
+//! SIMD runs from portable runs. CI sets the harness's `OMG_BENCH_DIR` to
+//! upload per-tier files side by side.
 //!
 //! Numbers land as JSON in `target/bench-json/kernels.json` (and the
 //! shared `trajectory.jsonl`); CI's `bench_check` gates `conv_speedup`,
@@ -24,9 +24,9 @@
 //! Run with `--quick` for the CI smoke mode.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use omg_bench::harness::{self, best_per_iter};
 use omg_bench::{cached_tiny_conv, ModelKind};
 use omg_nn::arch::KernelVTable;
 use omg_nn::gemm::{self, conv_im2col_len, row_sums, GemmArgs};
@@ -34,21 +34,6 @@ use omg_nn::kernels::{self, Conv2DArgs, DepthwiseConv2DArgs, FullyConnectedArgs,
 use omg_nn::kernels_fast;
 use omg_nn::quantize::FixedMultiplier;
 use omg_nn::{Interpreter, KernelSet};
-
-/// Best-of-`reps` time for `iters` back-to-back runs of `f`, per
-/// iteration (minimum-of-batches, the standard noise-resistant estimator
-/// for microbenchmarks).
-fn best_per_iter(reps: usize, iters: usize, mut f: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed());
-    }
-    best / iters as u32
-}
 
 fn pattern_i8(len: usize, mul: usize, modulo: i32, sub: i32) -> Vec<i8> {
     (0..len)
@@ -151,7 +136,10 @@ fn time_conv(vt: &'static KernelVTable, shape: &ConvShape, reps: usize, iters: u
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    harness::run("kernels", bench);
+}
+
+fn bench(quick: bool) -> String {
     let (reps, iters) = if quick { (3, 5) } else { (7, 20) };
     // The fast tier under test: the detected SIMD vtable by default,
     // pinned to the lanes fallback under OMG_KERNELS=portable.
@@ -552,28 +540,5 @@ fn main() {
         );
     }
     json.push_str("]}");
-
-    // Bench binaries run with CWD at the package root, so a relative
-    // OMG_BENCH_DIR is anchored at the workspace root — CI sets e.g.
-    // `target/bench-json-portable` and reads it from the checkout root.
-    let workspace_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out_dir = match std::env::var("OMG_BENCH_DIR") {
-        Ok(dir) if !dir.is_empty() => {
-            let dir = PathBuf::from(dir);
-            if dir.is_absolute() {
-                dir
-            } else {
-                workspace_root.join(dir)
-            }
-        }
-        _ => workspace_root.join("target/bench-json"),
-    };
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let latest = out_dir.join("kernels.json");
-        let _ = std::fs::write(&latest, &json);
-        let trajectory = out_dir.join("trajectory.jsonl");
-        let existing = std::fs::read_to_string(&trajectory).unwrap_or_default();
-        let _ = std::fs::write(&trajectory, existing + &json + "\n");
-        println!("bench JSON: {}", latest.display());
-    }
+    json
 }

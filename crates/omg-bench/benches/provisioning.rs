@@ -17,18 +17,18 @@
 //!    N×.
 //!
 //! It also reports cold seal→serve time and the per-device incremental
-//! provisioning cost at 1/2/4/8 devices, appending the numbers as JSON to
-//! `target/bench-json/provisioning.json` and the shared
+//! provisioning cost at 1/2/4/8 devices; the harness records the numbers
+//! as JSON in `target/bench-json/provisioning.json` and the shared
 //! `trajectory.jsonl`, which CI diffs against the committed baseline
 //! (`crates/omg-bench/baselines/`) via the `bench_check` binary. Run with
 //! `--quick` for the CI smoke mode.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use omg_bench::harness::{self, best_per_iter};
 use omg_bench::{cached_tiny_conv, paper_test_subset, ModelKind};
 use omg_core::session::{provision_devices_with_cache, ModelCache};
 use omg_nn::{format, Interpreter, ModelBuf};
@@ -56,21 +56,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Best-of-`reps` time for `iters` back-to-back runs of `f`, reported per
-/// iteration. Minimum-of-batches is the standard noise-resistant estimator
-/// for microbenchmarks.
-fn best_per_iter(reps: usize, iters: usize, mut f: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed());
-    }
-    best / iters as u32
-}
-
 struct ConfigResult {
     devices: usize,
     total: Duration,
@@ -79,7 +64,10 @@ struct ConfigResult {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    harness::run("provisioning", bench);
+}
+
+fn bench(quick: bool) -> String {
     let model = cached_tiny_conv(ModelKind::Fast);
     let weight_bytes = model.weight_bytes();
     println!(
@@ -239,14 +227,5 @@ fn main() {
         );
     }
     json.push_str("]}");
-
-    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-json");
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let latest = out_dir.join("provisioning.json");
-        let _ = std::fs::write(&latest, &json);
-        let trajectory = out_dir.join("trajectory.jsonl");
-        let existing = std::fs::read_to_string(&trajectory).unwrap_or_default();
-        let _ = std::fs::write(&trajectory, existing + &json + "\n");
-        println!("bench JSON: {}", latest.display());
-    }
+    json
 }

@@ -20,26 +20,20 @@
 //!    layer's whole claim: transient deaths are not caller-visible
 //!    outages).
 //!
-//! Results are appended as JSON to `target/bench-json/recovery.json` and
-//! `trajectory.jsonl`; `availability` and `recoveries_per_s` are watched
-//! by the `bench_check` regression gate. Run with `--quick` for the CI
-//! smoke mode.
+//! The harness records the results as JSON in
+//! `target/bench-json/recovery.json` and `trajectory.jsonl`;
+//! `availability` and `recoveries_per_s` are watched by the `bench_check`
+//! regression gate. Run with `--quick` for the CI smoke mode.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use omg_bench::harness::{self, await_full_capacity};
 use omg_bench::{cached_tiny_conv, paper_test_subset, ModelKind};
 use omg_core::session::provision_devices;
 use omg_serve::fault::{FaultPlan, QueryFault};
-use omg_serve::{
-    FleetHealth, RestartPolicy, RetryPolicy, ServeConfig, ServeError, ServeHandle, WorkerHealth,
-};
-
-/// How long a single recovery may take before the bench declares the
-/// supervisor hung — generous against CI jitter, tiny against a real hang.
-const RECOVERY_TIMEOUT: Duration = Duration::from_secs(10);
+use omg_serve::{FleetHealth, RestartPolicy, RetryPolicy, ServeConfig, ServeError, ServeHandle};
 
 /// Every 25th admission dies in the chaos phase.
 const KILL_EVERY: u64 = 25;
@@ -52,27 +46,6 @@ fn bench_restart_policy() -> RestartPolicy {
         crash_loop_threshold: 3,
         // Spaced kills are isolated incidents, never a crash loop.
         stable_after: Duration::ZERO,
-    }
-}
-
-/// Polls until every slot is `Live` again; returns the wait. Panics if the
-/// fleet does not recover within [`RECOVERY_TIMEOUT`].
-fn await_full_capacity(handle: &ServeHandle) -> Duration {
-    let start = Instant::now();
-    loop {
-        if handle
-            .worker_health()
-            .iter()
-            .all(|h| *h == WorkerHealth::Live)
-        {
-            return start.elapsed();
-        }
-        assert!(
-            start.elapsed() < RECOVERY_TIMEOUT,
-            "fleet never returned to full capacity: {:?}",
-            handle.worker_health()
-        );
-        std::thread::yield_now();
     }
 }
 
@@ -107,17 +80,18 @@ fn run_recovery_rounds(rounds: usize, samples: &[i16], seed: u64) -> RecoveryRes
         seed,
     )
     .expect("provision supervised fleet");
+    harness::watch(&handle);
 
     let mut seq = 0u64;
     let mut total_recovery = Duration::ZERO;
-    for _ in 0..rounds {
+    for round in 0..rounds {
         plan.fault_query(seq, QueryFault::WorkerPanic);
         let doomed = handle.submit(samples).expect("admit doomed query");
         seq += 1;
         assert_eq!(doomed.wait(), Err(ServeError::WorkerPanicked));
         // The clock starts at the caller-visible death and stops when the
         // supervisor has the replacement slot live again.
-        total_recovery += await_full_capacity(&handle);
+        total_recovery += await_full_capacity(&handle, round as u64 + 1);
         // The restored fleet serves, and the answer (whichever slot takes
         // it) is bit-identical to the reference device's.
         let t = handle
@@ -181,6 +155,7 @@ fn run_chaos_stream(workload: &[&[i16]], seed: u64) -> ChaosResult {
         seed,
     )
     .expect("provision chaos fleet");
+    harness::watch(&handle);
     let retry = RetryPolicy {
         max_attempts: 6,
         backoff_initial: Duration::from_millis(1),
@@ -202,7 +177,7 @@ fn run_chaos_stream(workload: &[&[i16]], seed: u64) -> ChaosResult {
     }
     let elapsed = start.elapsed();
     // Let the last kill's restart settle so drain sees converged capacity.
-    await_full_capacity(&handle);
+    await_full_capacity(&handle, kills);
     let drained = handle.drain();
     assert!(drained.is_healthy(), "{:?}", drained.worker_errors);
     assert_eq!(drained.stats.restarts, kills, "every kill restarted");
@@ -222,7 +197,10 @@ fn run_chaos_stream(workload: &[&[i16]], seed: u64) -> ChaosResult {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    harness::run("recovery", bench);
+}
+
+fn bench(quick: bool) -> String {
     let rounds = if quick { 3 } else { 8 };
     let queries = if quick { 120 } else { 600 };
     let eval = paper_test_subset(1);
@@ -285,14 +263,5 @@ fn main() {
         chaos.availability,
         chaos.host_qps,
     );
-
-    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-json");
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let latest = out_dir.join("recovery.json");
-        let _ = std::fs::write(&latest, &json);
-        let trajectory = out_dir.join("trajectory.jsonl");
-        let existing = std::fs::read_to_string(&trajectory).unwrap_or_default();
-        let _ = std::fs::write(&trajectory, existing + &json + "\n");
-        println!("bench JSON: {}", latest.display());
-    }
+    json
 }

@@ -4,12 +4,11 @@
 //! Each configuration provisions its own fleet, fires the workload through
 //! the bounded queue (spinning politely on backpressure), and reports:
 //!
-//! * **virtual throughput** — queries / busiest-device virtual time, the
-//!   same makespan convention the `throughput` bench uses for `Fleet`.
-//!   Devices model independent hardware and the virtual clock charges each
-//!   device only the CPU its own computation consumed, so this is the
-//!   scaling a real N-device install base would see even when the bench
-//!   host has fewer cores than workers;
+//! * **virtual throughput** — queries / busiest-device virtual time (the
+//!   fleet's makespan). Devices model independent hardware and the
+//!   virtual clock charges each device only the CPU its own computation
+//!   consumed, so this is the scaling a real N-device install base would
+//!   see even when the bench host has fewer cores than workers;
 //! * **host throughput** — wall-clock queries/sec on this machine, for
 //!   reference (bounded by the host's core count);
 //! * **p50/p95/p99** — submit-to-completion latency from the runtime's
@@ -23,42 +22,19 @@
 //!    derived from the queue depth and the single-query service time (a
 //!    bounded queue means bounded waiting — no unbounded queueing delay).
 //!
-//! Results are also appended as JSON to `target/bench-json/serving.json`
-//! (latest run) and `target/bench-json/trajectory.jsonl` (one line per
-//! run), forming the bench trajectory CI records. Run with `--quick` for
-//! the CI smoke mode.
+//! The harness records the results as JSON in
+//! `target/bench-json/serving.json` (latest run) and
+//! `target/bench-json/trajectory.jsonl` (one line per run), forming the
+//! bench trajectory CI records. Run with `--quick` for the CI smoke mode.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use omg_bench::{cached_tiny_conv, paper_test_subset, ModelKind};
+use omg_bench::{cached_tiny_conv, harness, paper_test_subset, ModelKind};
 use omg_core::session::provision_devices;
-use omg_obs::FlightRecorder;
 use omg_serve::{ServeConfig, ServeError, ServeHandle};
 
 const QUEUE_CAPACITY: usize = 32;
-
-/// The flight recorder of whichever fleet is currently being measured, so
-/// the panic hook can dump a post-mortem trace when an assertion trips
-/// mid-bench.
-static CURRENT_RECORDER: Mutex<Option<Arc<FlightRecorder>>> = Mutex::new(None);
-
-/// Installs a panic hook that prints the current fleet's trace tail and
-/// the global metrics snapshot before the normal panic output — the same
-/// dump-on-failure contract the chaos harness has.
-fn install_trace_dump_hook() {
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if let Some(recorder) = CURRENT_RECORDER.lock().unwrap().as_ref() {
-            eprintln!("=== serving bench post-mortem ===");
-            eprintln!("{}", recorder.snapshot().render_tail(40));
-            eprintln!("global metrics: {}", omg_obs::global().render_json());
-        }
-        default(info);
-    }));
-}
 
 struct ConfigResult {
     workers: usize,
@@ -94,7 +70,7 @@ fn run_config(
         },
     )
     .expect("start serving fleet");
-    *CURRENT_RECORDER.lock().unwrap() = handle.recorder();
+    harness::watch(&handle);
 
     let start = Instant::now();
     let mut pending = Vec::with_capacity(workload.len());
@@ -164,8 +140,10 @@ fn single_query_baseline(workload: &[&[i16]]) -> Duration {
 }
 
 fn main() {
-    install_trace_dump_hook();
-    let quick = std::env::args().any(|a| a == "--quick");
+    harness::run("serving", bench);
+}
+
+fn bench(quick: bool) -> String {
     let worker_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let queries = if quick { 96 } else { 240 };
     let eval = paper_test_subset(if quick { 1 } else { 3 });
@@ -222,7 +200,7 @@ fn main() {
         7000,
     )
     .expect("provision saturation fleet");
-    *CURRENT_RECORDER.lock().unwrap() = handle.recorder();
+    harness::watch(&handle);
     let burst = 200;
     let mut accepted = Vec::new();
     let mut rejected = 0u64;
@@ -326,15 +304,5 @@ fn main() {
         );
     }
     json.push_str("]}");
-
-    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-json");
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let latest = out_dir.join("serving.json");
-        let _ = std::fs::write(&latest, &json);
-        // The trajectory accumulates one line per run so CI can diff runs.
-        let trajectory = out_dir.join("trajectory.jsonl");
-        let existing = std::fs::read_to_string(&trajectory).unwrap_or_default();
-        let _ = std::fs::write(&trajectory, existing + &json + "\n");
-        println!("bench JSON: {}", latest.display());
-    }
+    json
 }

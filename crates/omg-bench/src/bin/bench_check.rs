@@ -1,8 +1,7 @@
 //! CI gate: compares the bench JSON uploaded from this run
 //! (`target/bench-json/`) against the committed baseline trajectory
-//! (`crates/omg-bench/baselines/`) and exits nonzero on a >25% throughput
-//! regression in any watched bench (`serving`, `provisioning`,
-//! `kernels` — see [`WATCHED_METRICS`]).
+//! (`crates/omg-bench/baselines/`) and exits nonzero on a >25% regression
+//! of any metric in [`WATCHED_METRICS`].
 //!
 //! Usage:
 //!

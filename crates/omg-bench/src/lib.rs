@@ -1,12 +1,14 @@
-//! Shared harness for the OMG benchmark suite.
+//! Shared code for the OMG report binaries and benches.
 //!
 //! Provides the trained model (disk-cached so the expensive training run
 //! happens once per checkout), the paper's evaluation subset, and the
-//! Table I runner reused by the report binary, the Criterion bench, and the
-//! integration tests.
+//! Table I runner reused by the `table1` report binary and the tests;
+//! [`harness`] runs the gated benches and [`regression`] checks their
+//! records.
 
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod regression;
 
 use std::path::PathBuf;

@@ -1,10 +1,10 @@
 //! Bench-trajectory regression checking.
 //!
-//! The `serving` and `provisioning` benches emit flat JSON records to
-//! `target/bench-json/`. CI compares those records against the committed
-//! baseline trajectory in `crates/omg-bench/baselines/` and fails the job
-//! when a throughput metric regresses by more than the tolerance (25% by
-//! default). The committed baselines are deliberately conservative floors
+//! The gated benches (every bench [`WATCHED_METRICS`] names) emit flat
+//! JSON records to `target/bench-json/`. CI compares those records against
+//! the committed baseline trajectory in `crates/omg-bench/baselines/` and
+//! fails the job when a watched metric regresses by more than the
+//! tolerance (25% by default). The committed baselines are deliberately conservative floors
 //! (about half of a local workstation measurement) so the gate catches
 //! real collapses — an accidental O(n) → O(n²), a lost fast path — rather
 //! than machine-to-machine variance.

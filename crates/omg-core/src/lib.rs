@@ -11,8 +11,9 @@
 //! * [`device`] — [`device::OmgDevice`], orchestrating the three phases
 //!   against the simulated platform;
 //! * [`session`] — warm [`session::QuerySession`]s that amortize enclave
-//!   park/resume across query bursts, and [`session::Fleet`]s that serve
-//!   round-robin over many provisioned devices;
+//!   park/resume across query bursts, and
+//!   [`session::provision_devices`], which provisions many devices against
+//!   one vendor;
 //! * [`storage`] — attacker-controlled local storage (step ④);
 //! * [`native`] — the unprotected baseline of Table I;
 //! * [`trace`] — protocol tracing and the Fig. 2 renderer.
@@ -73,8 +74,6 @@ pub mod vendor;
 pub use device::{OmgDevice, Transcription};
 pub use error::{OmgError, Result};
 pub use native::NativeSpotter;
-pub use session::{
-    provision_devices, provision_devices_with_cache, Fleet, ModelCache, QuerySession,
-};
+pub use session::{provision_devices, provision_devices_with_cache, ModelCache, QuerySession};
 pub use user::User;
 pub use vendor::Vendor;

@@ -1,12 +1,12 @@
-//! Warm query sessions and multi-device fleets.
+//! Warm query sessions and multi-device provisioning.
 //!
 //! The paper measures one utterance per park/resume cycle; serving real
 //! traffic needs the opposite shape: keep the enclave core bound and its
 //! buffers warm across a burst of queries, and spread load over many
 //! devices. [`QuerySession`] amortizes enclave resume/park and fingerprint
-//! allocation across a whole burst; [`Fleet`] provisions N simulated
-//! devices from one vendor and multiplexes queries round-robin — the
-//! scaling direction ("millions of users") of the ROADMAP.
+//! allocation across a whole burst; [`provision_devices`] provisions N
+//! simulated devices from one vendor, sharing one decrypted model image,
+//! for a serving runtime (the `omg-serve` crate) to spread queries over.
 
 use std::time::Duration;
 
@@ -155,8 +155,7 @@ impl QuerySession<'_> {
     /// arena and the fingerprint buffer — without ending the session.
     /// Serving runtimes that multiplex *different principals* over one
     /// warm session call this between queries, so no user's activations
-    /// or audio features are resident while the next user's query runs
-    /// (the same hygiene [`Fleet`] applies per dispatch).
+    /// or audio features are resident while the next user's query runs.
     pub fn scrub(&mut self) {
         self.buf.scrub();
         self.device.scrub_interpreter();
@@ -197,21 +196,6 @@ impl Drop for QuerySession<'_> {
             let _ = self.device.finish_query();
         }
     }
-}
-
-/// A pool of N provisioned devices served round-robin.
-///
-/// All devices attest to the same vendor and receive the same model, like
-/// a production install base. Queries dispatch to devices in rotation;
-/// because each simulated device has its own virtual clock, the fleet's
-/// wall time for a workload is the *busiest device's* time — N devices
-/// give close to N× the throughput of one.
-#[derive(Debug)]
-pub struct Fleet {
-    devices: Vec<OmgDevice>,
-    buf: FingerprintBuffer,
-    next: usize,
-    queries: u64,
 }
 
 /// The fleet-provisioning model cache: lets N devices initializing against
@@ -355,10 +339,9 @@ impl ModelCache {
 /// decrypted image (see [`Model::shares_storage_with`]) — per-device
 /// incremental provisioning no longer re-decodes (or re-buffers) the model.
 ///
-/// This is the provisioning primitive shared by [`Fleet`] and by external
-/// serving runtimes (e.g. the `omg-serve` crate) that move the returned
-/// devices into worker threads — [`OmgDevice`] is `Send`, so the whole
-/// query path can run off-thread.
+/// This is the provisioning primitive of serving runtimes (e.g. the
+/// `omg-serve` crate) that move the returned devices into worker threads —
+/// [`OmgDevice`] is `Send`, so the whole query path can run off-thread.
 ///
 /// # Errors
 ///
@@ -417,93 +400,6 @@ const _: () = {
     assert_send::<OmgDevice>();
     assert_send::<crate::Transcription>();
 };
-
-impl Fleet {
-    /// Provisions `n` fresh devices through the full preparation and
-    /// initialization phases against a single vendor.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::OmgError::InvalidConfig`] if `n` is zero; any attestation,
-    /// provisioning, or initialization failure.
-    pub fn provision(n: usize, model_id: &str, model: Model, seed: u64) -> Result<Fleet> {
-        Ok(Fleet {
-            devices: provision_devices(n, model_id, model, seed)?,
-            buf: FingerprintBuffer::new(),
-            next: 0,
-            queries: 0,
-        })
-    }
-
-    /// Number of devices in the fleet.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the fleet has no devices.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Classifies one utterance on the next device in rotation. Each fleet
-    /// query comes from a different simulated principal, so the serving
-    /// device's arena is scrubbed afterwards — no user's activations
-    /// survive into the next user's query.
-    ///
-    /// # Errors
-    ///
-    /// Inference errors from the chosen device.
-    pub fn classify(&mut self, samples: &[i16]) -> Result<Transcription> {
-        let (idx, class_index, score, compute) = self.dispatch(samples)?;
-        Ok(self.devices[idx].transcription(class_index, score, compute))
-    }
-
-    /// Label-free round-robin classification (scrubs like
-    /// [`Self::classify`]).
-    ///
-    /// # Errors
-    ///
-    /// Inference errors from the chosen device.
-    pub fn classify_class(&mut self, samples: &[i16]) -> Result<(usize, f32)> {
-        let (_, class_index, score, _) = self.dispatch(samples)?;
-        Ok((class_index, score))
-    }
-
-    /// One round-robin query: pick the device, classify, then scrub the
-    /// fingerprint buffer and interpreter arena — the single copy of the
-    /// between-principals hygiene sequence.
-    fn dispatch(&mut self, samples: &[i16]) -> Result<(usize, usize, f32, Duration)> {
-        let idx = self.next;
-        self.next = (self.next + 1) % self.devices.len();
-        let device = &mut self.devices[idx];
-        let (class_index, score, compute) = device.classify_class_warm(samples, &mut self.buf)?;
-        self.buf.scrub();
-        device.scrub_interpreter();
-        self.queries += 1;
-        Ok((idx, class_index, score, compute))
-    }
-
-    /// Total queries dispatched across all devices.
-    pub fn total_queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Read-only access to a device (e.g. for its clock or trace).
-    pub fn device(&self, idx: usize) -> Option<&OmgDevice> {
-        self.devices.get(idx)
-    }
-
-    /// The fleet's makespan for everything run so far: the largest virtual
-    /// elapsed time across devices, since devices run concurrently in the
-    /// scenario the fleet models.
-    pub fn busiest_device_time(&self) -> Duration {
-        self.devices
-            .iter()
-            .map(|d| d.clock().now())
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -660,55 +556,6 @@ mod tests {
         // Detections only report non-background classes.
         assert!(detections.iter().all(|d| d.class >= 2));
         session.finish().unwrap();
-    }
-
-    #[test]
-    fn fleet_round_robins_and_agrees_with_single_device() {
-        let data = SyntheticSpeechCommands::new(44);
-        let mut fleet = Fleet::provision(3, "kws", test_model(), 900).unwrap();
-        assert_eq!(fleet.len(), 3);
-        assert!(!fleet.is_empty());
-
-        let mut single = ready_device(false);
-        for class in 2..8 {
-            let samples = data.utterance(class, 1).unwrap();
-            let f = fleet.classify(&samples).unwrap();
-            let s = single.classify_utterance(&samples).unwrap();
-            assert_eq!(f.class_index, s.class_index);
-            assert_eq!(f.label, s.label);
-        }
-        assert_eq!(fleet.total_queries(), 6);
-        // Round-robin: 6 queries over 3 devices = 2 each; every device's
-        // clock advanced beyond its initialization time.
-        assert!(fleet.busiest_device_time() > Duration::ZERO);
-    }
-
-    #[test]
-    fn fleet_spreads_load_evenly() {
-        let data = SyntheticSpeechCommands::new(45);
-        let samples = data.utterance(2, 0).unwrap();
-        let mut fleet = Fleet::provision(2, "kws", test_model(), 901).unwrap();
-        let t0: Vec<Duration> = (0..2)
-            .map(|i| fleet.device(i).unwrap().clock().now())
-            .collect();
-        for _ in 0..24 {
-            fleet.classify_class(&samples).unwrap();
-        }
-        let busy: Vec<Duration> = (0..2)
-            .map(|i| fleet.device(i).unwrap().clock().now() - t0[i])
-            .collect();
-        assert!(busy[0] > Duration::ZERO && busy[1] > Duration::ZERO);
-        // 12 queries each: the two devices should be roughly equally busy.
-        // Per-query compute is *measured* CPU time of sub-millisecond work,
-        // which carries timer-tick attribution noise on the order of a
-        // millisecond — accept either rough relative parity or an absolute
-        // gap within that noise floor. The structural even split
-        // (round-robin query counts) is what this test guards.
-        let (a, b) = (busy[0].as_secs_f64(), busy[1].as_secs_f64());
-        assert!(
-            (a - b).abs() / a.max(b) < 0.5 || (a - b).abs() < 4e-3,
-            "uneven load: {busy:?}"
-        );
     }
 
     #[test]
@@ -876,21 +723,25 @@ mod tests {
     #[test]
     fn empty_fleet_is_rejected() {
         assert!(matches!(
-            Fleet::provision(0, "kws", test_model(), 902),
+            provision_devices(0, "kws", test_model(), 902),
             Err(crate::OmgError::InvalidConfig { .. })
         ));
     }
 
     #[test]
     fn fleet_scrubs_between_principals() {
+        // A serving fleet's worker keeps one session open across queries
+        // from different principals and scrubs it after each one.
         let data = SyntheticSpeechCommands::new(46);
-        let mut fleet = Fleet::provision(1, "kws", test_model(), 903).unwrap();
-        fleet.classify(&data.utterance(2, 0).unwrap()).unwrap();
+        let mut device = ready_device(false);
+        let mut session = device.session().unwrap();
+        session.classify(&data.utterance(2, 0).unwrap()).unwrap();
+        assert_eq!(session.device.interpreter_arena_scrubbed(), Some(false));
         // The previous user's activations must not sit in the arena while
-        // the next user's query is pending.
-        assert_eq!(
-            fleet.device(0).unwrap().interpreter_arena_scrubbed(),
-            Some(true)
-        );
+        // the next user's query is pending on the still-open session.
+        session.scrub();
+        assert_eq!(session.device.interpreter_arena_scrubbed(), Some(true));
+        session.classify(&data.utterance(3, 0).unwrap()).unwrap();
+        session.finish().unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! RSA key generation, PKCS#1 v1.5 signatures and encryption.
 //!
 //! SANCTUARY assigns each enclave an asymmetric key pair derived from the
-//! platform certificate (paper §V, citing RSA [46]); attestation reports are
+//! platform certificate (paper §V, citing RSA \[46\]); attestation reports are
 //! RSA signatures over the enclave measurement, and the vendor channel uses
 //! RSA key transport to establish a session key.
 //!

@@ -38,7 +38,7 @@
 //! ```
 //!
 //! The layout hints are the promises SIMD kernels build on (base
-//! alignment, dense row pitch); [`Model::validate`] cross-checks them
+//! alignment, dense row pitch); `Model::validate` cross-checks them
 //! against the actual section placement and tensor shapes, so a hostile
 //! blob cannot smuggle in hints the layout does not honor.
 

@@ -983,43 +983,6 @@ impl Interpreter {
         }
     }
 
-    /// Runs the model over many inputs, reusing the arena across them and
-    /// performing no per-input heap allocation. Each input's quantized
-    /// output is handed to `sink` (with its index) before the next input
-    /// overwrites the arena.
-    ///
-    /// # Errors
-    ///
-    /// [`NnError::BadInputLength`] for the first ill-sized input; inputs
-    /// before it have already been processed and delivered.
-    pub fn invoke_batch<F>(&mut self, inputs: &[&[i8]], mut sink: F) -> Result<()>
-    where
-        F: FnMut(usize, &[i8]),
-    {
-        let (out_off, out_len) = self.activation_range(self.model.output)?;
-        for (idx, input) in inputs.iter().enumerate() {
-            self.invoke(input)?;
-            sink(idx, &self.arena[out_off..out_off + out_len]);
-        }
-        Ok(())
-    }
-
-    /// Batched classification: argmax + dequantized score per input, with a
-    /// single result-vector allocation for the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `invoke` errors; [`NnError::MissingQuantization`] if the
-    /// output has no parameters.
-    pub fn classify_batch(&mut self, inputs: &[&[i8]]) -> Result<Vec<(usize, f32)>> {
-        let q = self.output_quant()?;
-        let mut out = Vec::with_capacity(inputs.len());
-        self.invoke_batch(inputs, |_, quantized| {
-            out.push(argmax_dequantized(quantized, q));
-        })?;
-        Ok(out)
-    }
-
     /// The raw quantized output of the last `invoke`.
     ///
     /// # Errors
@@ -1481,54 +1444,6 @@ mod tests {
         let mut interp = Interpreter::new(b.build().unwrap()).unwrap();
         interp.invoke(&[3, 1, 4, 1]).unwrap();
         assert_eq!(interp.output_quantized().unwrap(), &[4]);
-    }
-
-    #[test]
-    fn invoke_batch_matches_sequential_invokes() {
-        let mut interp = Interpreter::new(tiny_model()).unwrap();
-        let inputs: Vec<Vec<i8>> = vec![
-            vec![1, 2, 3, 4],
-            vec![5, 5, 5, 5],
-            vec![-1, -2, -3, -4],
-            vec![0, 0, 0, 0],
-        ];
-        let refs: Vec<&[i8]> = inputs.iter().map(Vec::as_slice).collect();
-        let mut batched: Vec<Vec<i8>> = Vec::new();
-        interp
-            .invoke_batch(&refs, |idx, out| {
-                assert_eq!(idx, batched.len());
-                batched.push(out.to_vec());
-            })
-            .unwrap();
-        assert_eq!(batched.len(), inputs.len());
-        for (input, expected) in inputs.iter().zip(&batched) {
-            let mut fresh = Interpreter::new(tiny_model()).unwrap();
-            fresh.invoke(input).unwrap();
-            assert_eq!(fresh.output_quantized().unwrap(), expected.as_slice());
-        }
-    }
-
-    #[test]
-    fn classify_batch_matches_classify() {
-        let mut interp = Interpreter::new(tiny_model()).unwrap();
-        let inputs: Vec<Vec<i8>> = vec![vec![1, 2, 3, 4], vec![-4, 1, -1, 2]];
-        let refs: Vec<&[i8]> = inputs.iter().map(Vec::as_slice).collect();
-        let batch = interp.classify_batch(&refs).unwrap();
-        for (input, &(idx, score)) in inputs.iter().zip(&batch) {
-            let mut fresh = Interpreter::new(tiny_model()).unwrap();
-            assert_eq!(fresh.classify(input).unwrap(), (idx, score));
-        }
-    }
-
-    #[test]
-    fn invoke_batch_rejects_bad_lengths_midway() {
-        let mut interp = Interpreter::new(tiny_model()).unwrap();
-        let good: &[i8] = &[1, 2, 3, 4];
-        let bad: &[i8] = &[1, 2];
-        let mut seen = 0;
-        let err = interp.invoke_batch(&[good, bad], |_, _| seen += 1);
-        assert!(matches!(err, Err(NnError::BadInputLength { .. })));
-        assert_eq!(seen, 1, "the good input was delivered before the error");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`model`] — the operator graph and its builder;
 //! * [`planner`] — TFLM-style greedy arena planning (no heap at inference);
 //! * [`interpreter`] — the arena-based executor;
-//! * [`format`] — the compact binary serialization the vendor encrypts and
+//! * [`mod@format`] — the compact binary serialization the vendor encrypts and
 //!   ships (the `.tflite` stand-in; the paper's `tiny_conv` model is ≈49 kB).
 //!
 //! # Examples

@@ -249,7 +249,7 @@ pub fn same_padding(input: usize, kernel: usize, stride: usize) -> (usize, usize
 /// from tensor shapes at dispatch time.
 ///
 /// Hints are *claims the blob makes about its own layout*;
-/// [`Model::validate`] rejects any hint the actual section placement and
+/// `Model::validate` rejects any hint the actual section placement and
 /// tensor shapes do not back up, so a hint in a validated model is a fact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferLayout {
@@ -288,7 +288,7 @@ pub(crate) fn canonical_layout_hints(
 
 /// A complete, validated model.
 ///
-/// Constant buffers are [`ByteView`]s into 64-byte-aligned storage: models
+/// Constant buffers are `ByteView`s into 64-byte-aligned storage: models
 /// deserialized from an OMGM v2 blob borrow windows of one shared decrypted
 /// image (see [`crate::buffer::ModelBuf`]), and cloning a model is a
 /// refcount bump per buffer rather than a copy of the weights.

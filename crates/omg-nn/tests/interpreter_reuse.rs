@@ -125,25 +125,3 @@ fn repeated_invocations_are_stable_over_long_runs() {
         }
     }
 }
-
-#[test]
-fn batch_and_sequential_agree_on_a_shared_interpreter() {
-    let inputs: Vec<Vec<i8>> = (0..6)
-        .map(|k| {
-            (0..36)
-                .map(|i| ((i * 11 + k * 29) % 256) as u8 as i8)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[i8]> = inputs.iter().map(Vec::as_slice).collect();
-
-    let mut a = Interpreter::new(model()).unwrap();
-    let batch = a.classify_batch(&refs).unwrap();
-
-    let mut b = Interpreter::new(model()).unwrap();
-    let sequential: Vec<(usize, f32)> = inputs
-        .iter()
-        .map(|input| b.classify(input).unwrap())
-        .collect();
-    assert_eq!(batch, sequential);
-}

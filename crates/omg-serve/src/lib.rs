@@ -1033,7 +1033,7 @@ impl fmt::Debug for ServeHandle {
 
 impl ServeHandle {
     /// Provisions `workers` fresh devices (full preparation + initialization
-    /// against one vendor, like [`omg_core::session::Fleet::provision`])
+    /// against one vendor, through [`omg_core::session::provision_devices`])
     /// and starts a worker thread per device.
     ///
     /// With [`ServeConfig::restart`] set, the provisioning arguments (and
@@ -1590,9 +1590,9 @@ pub(crate) fn spawn_worker(
 /// items until the queue closes and drains, then scrub and park.
 ///
 /// Successive queries come from *different principals*, so the session is
-/// scrubbed after every query — no user's activations or audio features
-/// are resident while the next user's query runs (the hygiene
-/// [`omg_core::Fleet`] applies per dispatch).
+/// scrubbed after every query ([`omg_core::QuerySession::scrub`]) — no
+/// user's activations or audio features are resident while the next
+/// user's query runs.
 fn worker_loop(
     index: usize,
     mut device: OmgDevice,

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! See the individual crates for the real documentation; start with
-//! [`core`] for the protocol and [`bench`] for the paper's measurements.
+//! [`core`] for the protocol and [`mod@bench`] for the paper's measurements.
 //!
 //! # Quickstart
 //!
@@ -56,8 +56,7 @@
 //! ```
 //!
 //! For bursts of queries, open a warm [`core::session::QuerySession`]
-//! instead of paying the park/resume cycle per utterance — and scale out
-//! with a [`core::session::Fleet`]:
+//! instead of paying the park/resume cycle per utterance:
 //!
 //! ```
 //! # use omg::core::device::{expected_enclave_measurement, OmgDevice};
